@@ -113,7 +113,12 @@ def _maybe_vtk(config, out_dir, it, mesh, indicator_records):
 
 
 def run_adapt_loop(config, out_dir=None):
-    """Solve/estimate/refine until max_iters or the stagnation stop."""
+    """Solve/estimate/refine until max_iters or the stagnation stop.
+
+    With `stop_on_stagnation` set, the loop also stops after an iteration
+    whose condition estimate exceeds `cond_limit`; without it, `cond_limit`
+    is not checked and the loop runs to `max_iters` whatever the estimate.
+    """
     mesh = initial_mesh(config)
     predictions = None
     history = []

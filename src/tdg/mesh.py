@@ -186,10 +186,6 @@ class Facet:
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))
 
-    @property
-    def midpoint(self):
-        return 0.5 * (self.lo + self.hi)
-
 
 class Mesh:
     """Leaf-element container; immutable between refinement calls."""
@@ -210,10 +206,6 @@ class Mesh:
     @property
     def n_elements(self):
         return len(self.elements)
-
-    @property
-    def total_dofs(self):
-        return sum(el.n_waves for el in self.elements.values())
 
     def element_ids(self):
         return sorted(self.elements)
@@ -267,9 +259,6 @@ class Mesh:
             if not f.is_boundary:
                 by_el[f.side_b].append(f)
         return by_el
-
-    def max_level(self):
-        return max(el.level for el in self.elements.values())
 
 
 def build_initial_mesh(domain, n, wavenumbers, q0):

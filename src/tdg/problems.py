@@ -213,10 +213,3 @@ def l2_errors(solution, problem):
         err_sq += float(rule.weights @ np.abs(u_ex - u_h) ** 2)
         norm_sq += float(rule.weights @ np.abs(u_ex) ** 2)
     return np.sqrt(err_sq), np.sqrt(norm_sq)
-
-
-def relative_l2_error(solution, problem):
-    err, norm = l2_errors(solution, problem)
-    if norm == 0.0:
-        raise ProblemError("exact solution has zero norm; relative error undefined")
-    return err / norm

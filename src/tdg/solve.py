@@ -1,10 +1,12 @@
 """Direct solution of the assembled system with a condition estimate.
 
 Small systems (below 2000 unknowns) go through dense LU, larger ones
-through SuperLU on the CSR matrix.  The 1-norm condition number is
-estimated with a deterministic Hager-style power iteration on the
-factorized inverse; no randomness is involved, so repeated runs give
-identical numbers.
+through SuperLU on the CSR matrix.  Dense LU factors a Fortran-ordered
+copy of the matrix in place, so no second n x n array is made; the
+matrix 1-norm is taken before the factors overwrite it.  The 1-norm
+condition number is estimated with a deterministic Hager-style power
+iteration on the factorized inverse; no randomness is involved, so
+repeated runs give identical numbers.
 """
 
 from dataclasses import dataclass
@@ -58,8 +60,9 @@ def solve(system, estimate_condition=True):
     b = system.rhs
     n = system.dim
     if n < DENSE_LIMIT:
-        a = system.to_sparse().toarray()
-        lu, piv = sla.lu_factor(a, check_finite=False)
+        a = system.to_sparse().toarray(order="F")
+        norm_a = float(np.max(np.sum(np.abs(a), axis=0))) if n else 0.0
+        lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
         diag = np.abs(np.diag(lu))
         zero = np.where(diag == 0.0)[0]
         if zero.size:
@@ -73,8 +76,6 @@ def solve(system, estimate_condition=True):
 
         def adjoint_op(v):
             return sla.lu_solve((lu, piv), v, trans=2, check_finite=False)
-
-        norm_a = float(np.max(np.sum(np.abs(a), axis=0))) if n else 0.0
     else:
         a = system.to_sparse().tocsc()
         try:

@@ -1,5 +1,9 @@
 """Bessel/Hankel evaluation against an extended-precision oracle."""
 
+import os
+import subprocess
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -52,7 +56,7 @@ def test_hankel1_frozen_values(order, x, expected):
 
 
 def _grid():
-    # Straddles the series/asymptotic switch-over at x = 16.
+    # Small, moderate and large arguments, up to 75.
     return np.concatenate([
         np.linspace(0.05, 2.0, 9),
         np.linspace(2.5, 15.5, 14),
@@ -111,6 +115,29 @@ def test_vector_scalar_agreement():
     vec = bessel_j(2.0 / 3.0, xs)
     for x, v in zip(xs, vec):
         assert bessel_j(2.0 / 3.0, float(x)) == v
+
+
+@pytest.mark.parametrize("func,order,kind", [(hankel1, 0, complex), (hankel1, 1, complex),
+                                             (bessel_y, 0, float), (bessel_y, 1, float)])
+def test_vector_scalar_agreement_and_types(func, order, kind):
+    xs = np.array([0.7, 3.1, 20.0])
+    vec = func(order, xs)
+    assert isinstance(vec, np.ndarray) and vec.shape == xs.shape
+    assert vec.dtype == np.dtype(kind)
+    for x, v in zip(xs, vec):
+        scalar = func(order, float(x))
+        assert type(scalar) is kind
+        assert scalar == v
+
+
+def test_importing_the_driver_does_not_load_scipy_special():
+    # scipy.special is imported on the first Bessel call only, so runs whose
+    # exact solution needs none (plane waves, 3D) do not pay for loading it.
+    code = "import sys, tdg.driver; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_eval_special_dispatch():
