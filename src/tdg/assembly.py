@@ -15,6 +15,8 @@ side mirrors the boundary terms so the scheme is consistent.  On a
 material-interface facet the coefficient wavenumber is the shared
 frequency supplied by the problem.
 
+Facet traces and their normal derivatives come from
+`basis.eval_basis_derivative`, which never forms the full gradient.
 Element blocks are kept in a dict keyed by (test id, trial id) and
 flattened to CSR on demand in sorted key order.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import eval_basis
+from .basis import eval_basis_derivative
 from .quadrature import facet_rule
 
 VALID_TAGS = ("robin", "dirichlet")
@@ -73,11 +75,6 @@ class GlobalSystem:
         return self._csr
 
 
-def _facet_traces(element, rule, normal):
-    values, grads = eval_basis(element, rule.points, order=1)
-    return values, grads @ normal
-
-
 def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
     """Assemble the TDG system for the mesh and problem.
 
@@ -117,7 +114,7 @@ def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
             k = el_a.k
             rule = facet_rule(facet, k, el_a.degree)
             w = rule.weights
-            values, dnorm = _facet_traces(el_a, rule, normal)
+            values, dnorm = eval_basis_derivative(el_a, rule.points, normal)
             vc, gc = values.conj(), dnorm.conj()
             wv = w[:, None] * values
             wg = w[:, None] * dnorm
@@ -145,8 +142,8 @@ def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
             facet, max(el_a.k, el_b.k), max(el_a.degree, el_b.degree)
         )
         w = rule.weights
-        va, ga = _facet_traces(el_a, rule, normal)
-        vb, gb = _facet_traces(el_b, rule, normal)
+        va, ga = eval_basis_derivative(el_a, rule.points, normal)
+        vb, gb = eval_basis_derivative(el_b, rule.points, normal)
         ik = 1j * k_f
         sides = (
             (facet.side_a, va, ga, 1.0),

@@ -160,11 +160,13 @@ def orient_direction(solution, element, axis, ball_radius=0.0):
     """
     k = element.k
     probe = element.centroid + ball_radius * axis
-    value, gradient = solution.value_and_gradient(element, probe[np.newaxis, :])
+    value, derivative = solution.value_and_derivative(
+        element, probe[np.newaxis, :], axis
+    )
     denom = 1j * k * value[0]
     if denom == 0.0:
         return axis
-    trace = (gradient[0] @ axis + 1j * k * value[0]) / denom
+    trace = (derivative[0] + 1j * k * value[0]) / denom
     if trace.real < 1.0:
         return -axis
     return axis

@@ -86,6 +86,10 @@ class ConstantWavenumber:
     def __call__(self, centroid):
         return self.k
 
+    def at_points(self, points):
+        """Wavenumber at each row of `points`, shape (m,)."""
+        return np.full(len(points), self.k)
+
     def validate(self, domain, n):
         return None
 
@@ -107,6 +111,10 @@ class InterfaceWavenumber:
 
     def __call__(self, centroid):
         return self.below if centroid[self.axis] <= self.position else self.above
+
+    def at_points(self, points):
+        """Wavenumber at each row of `points`, shape (m,), by the same rule."""
+        return np.where(points[:, self.axis] <= self.position, self.below, self.above)
 
     def validate(self, domain, n):
         step = domain.extent / n

@@ -196,8 +196,7 @@ class ProblemSpec:
         if tag != "robin":
             raise ProblemError(f"unknown boundary tag {tag!r}")
         u, grad = self.exact_solution(pts, gradient=True)
-        field = self.wavenumber_field()
-        kvals = np.array([field(p) for p in pts])
+        kvals = self.wavenumber_field().at_points(pts)
         return grad @ np.asarray(normal, dtype=float) + 1j * kvals * self.impedance_sign * u
 
 

@@ -1,10 +1,16 @@
-"""Discrete solution: per-element coefficient vectors over the plane waves."""
+"""Discrete solution: per-element coefficient vectors over the plane waves.
+
+Facet traces need only the derivative along the facet normal, so
+`value_and_derivative` contracts the coefficients with the values and
+the directional derivatives from `basis.eval_basis_derivative` instead of
+with a full gradient tensor.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import element_directions, eval_basis
+from .basis import element_directions, eval_basis, eval_basis_derivative
 
 
 @dataclass
@@ -23,10 +29,11 @@ class DiscreteSolution:
         values = eval_basis(element, points, order=0)
         return values @ self.coefficients[element.id]
 
-    def value_and_gradient(self, element, points):
-        values, grads = eval_basis(element, points, order=1)
+    def value_and_derivative(self, element, points, direction):
+        """Values and derivatives along `direction` at the points, each (m,)."""
+        values, dvals = eval_basis_derivative(element, points, direction)
         coeff = self.coefficients[element.id]
-        return values @ coeff, np.einsum("mpd,p->md", grads, coeff)
+        return values @ coeff, np.einsum("mp,p->m", dvals, coeff)
 
     def at_centroid(self, element):
         """(value, gradient) at the element centroid, in closed form."""

@@ -10,6 +10,7 @@ from tdg.basis import (
     canonical_frame,
     element_directions,
     eval_basis,
+    eval_basis_derivative,
     frame_from_direction,
     rotated_directions,
     rotation_matrix_3d,
@@ -129,6 +130,57 @@ def test_eval_basis_values_and_phases():
     # Plane waves are 1 at the centroid expansion point.
     assert_allclose(values[0], 1.0, atol=1e-15)
     assert_allclose(np.abs(values), 1.0, atol=1e-13)
+
+
+def _reference_values(element, pts):
+    phase = (pts - element.centroid) @ (1j * element.k * element_directions(element)).T
+    return np.exp(phase)
+
+
+def _refraction_override(p):
+    # The shapes of criterion 3's injected refraction directions.
+    d = np.array([np.sin(np.radians(69.0)), np.cos(np.radians(69.0))])
+    if p == 1:
+        return d[None, :]
+    return np.array([d, [d[0], -d[1]]])
+
+
+@pytest.mark.parametrize(
+    "kind,k,q0,override",
+    [
+        ("unit_square", 20.0, 4, None),
+        ("unit_cube", 20.0, 3, None),
+        ("unit_square", 22.0, 3, 2),
+        ("unit_square", 11.0, 3, 1),
+    ],
+)
+def test_eval_basis_equals_complex_exp_bit_for_bit(kind, k, q0, override):
+    element = _element(kind=kind, k=k, q0=q0)
+    if override is not None:
+        element.directions_override = _refraction_override(override)
+    rng = np.random.default_rng(11)
+    pts = element.lo + rng.random((400, element.dim)) * (element.hi - element.lo)
+    values = eval_basis(element, pts)
+    assert np.array_equal(values, _reference_values(element, pts))
+
+
+@pytest.mark.parametrize("kind,q0", [("unit_square", 4), ("unit_cube", 3)])
+def test_eval_basis_derivative_matches_gradient(kind, q0):
+    element = _element(kind=kind, k=20.0, q0=q0)
+    rng = np.random.default_rng(5)
+    pts = element.lo + rng.random((50, element.dim)) * (element.hi - element.lo)
+    values, grads = eval_basis(element, pts, order=1)
+    for axis in range(element.dim):
+        for sign in (1.0, -1.0):
+            normal = np.zeros(element.dim)
+            normal[axis] = sign
+            dvalues, dnorm = eval_basis_derivative(element, pts, normal)
+            assert np.array_equal(dvalues, values)
+            assert np.array_equal(dnorm, grads @ normal)
+    oblique = np.arange(1.0, element.dim + 1.0)
+    oblique /= np.linalg.norm(oblique)
+    _, doblique = eval_basis_derivative(element, pts, oblique)
+    assert_allclose(doblique, grads @ oblique, rtol=1e-13, atol=0.0)
 
 
 def test_eval_basis_gradient_matches_finite_differences():

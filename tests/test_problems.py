@@ -259,6 +259,17 @@ def test_wavenumber_fields():
         uniform.facet_wavenumber(20.0, 21.0)
 
 
+def test_wavenumber_at_points_matches_per_point_lookup():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, (40, 2))
+    pts[::4, 1] = 0.0  # exactly on the interface, which counts as below
+    interface = transmission_problem(69.0).wavenumber_field()
+    for field in (ConstantWavenumber(20.0), interface):
+        expected = np.array([field(p) for p in pts])
+        assert np.array_equal(field.at_points(pts), expected)
+    assert np.all(interface.at_points(pts[::4]) == 22.0)
+
+
 def test_validation_errors():
     with pytest.raises(ProblemError):
         ProblemSpec(kind="unknown", domain=_domain())
