@@ -15,10 +15,13 @@ side mirrors the boundary terms so the scheme is consistent.  On a
 material-interface facet the coefficient wavenumber is the shared
 frequency supplied by the problem.
 
+Facet rules for the whole skeleton come from one
+`quadrature.skeleton_rules` call per assembly and are dropped with it.
 Facet traces and their normal derivatives come from
 `basis.eval_basis_derivative`, which never forms the full gradient.
 Element blocks are kept in a dict keyed by (test id, trial id) and
-flattened to CSR on demand in sorted key order.
+flattened to CSR on demand: the COO indices of all blocks come from a
+few np.repeat calls over the sorted keys, each block row-major.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import eval_basis_derivative
-from .quadrature import facet_rule
+from .quadrature import skeleton_rules
 
 VALID_TAGS = ("robin", "dirichlet")
 
@@ -57,21 +60,18 @@ class GlobalSystem:
 
     def to_sparse(self):
         if self._csr is None:
-            rows, cols, data = [], [], []
-            for (test_id, trial_id) in sorted(self.blocks):
-                block = self.blocks[(test_id, trial_id)]
-                r0, r1 = self.dof_map[test_id]
-                c0, c1 = self.dof_map[trial_id]
-                rr, cc = np.meshgrid(
-                    np.arange(r0, r1), np.arange(c0, c1), indexing="ij"
-                )
-                rows.append(rr.ravel())
-                cols.append(cc.ravel())
-                data.append(block.ravel())
-            self._csr = sp.csr_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.dim, self.dim),
-            )
+            # Row-major entries of each block, blocks in sorted key order.
+            keys = sorted(self.blocks)
+            r0, r1 = np.array([self.dof_map[test_id] for test_id, _ in keys]).T
+            c0, c1 = np.array([self.dof_map[trial_id] for _, trial_id in keys]).T
+            n_cols = c1 - c0
+            size = (r1 - r0) * n_cols
+            local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+            n_cols = np.repeat(n_cols, size)
+            rows = np.repeat(r0, size) + local // n_cols
+            cols = np.repeat(c0, size) + local % n_cols
+            data = np.concatenate([self.blocks[key].ravel() for key in keys])
+            self._csr = sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
         return self._csr
 
 
@@ -104,16 +104,15 @@ def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
     alpha, beta, delta = params.alpha, params.beta, params.delta
     vtheta = problem.impedance_sign
 
-    for facet in facets:
+    for facet, rule in zip(facets, skeleton_rules(mesh, facets)):
         el_a = mesh.elements[facet.side_a]
         normal = facet.normal
+        w = rule.weights
         if facet.is_boundary:
             tag = facet.side_b
             if tag not in VALID_TAGS:
                 raise AssemblyError(f"facet carries invalid boundary tag {tag!r}")
             k = el_a.k
-            rule = facet_rule(facet, k, el_a.degree)
-            w = rule.weights
             values, dnorm = eval_basis_derivative(el_a, rule.points, normal)
             vc, gc = values.conj(), dnorm.conj()
             wv = w[:, None] * values
@@ -138,10 +137,6 @@ def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
 
         el_b = mesh.elements[facet.side_b]
         k_f = problem.facet_wavenumber(el_a.k, el_b.k)
-        rule = facet_rule(
-            facet, max(el_a.k, el_b.k), max(el_a.degree, el_b.degree)
-        )
-        w = rule.weights
         va, ga = eval_basis_derivative(el_a, rule.points, normal)
         vb, gb = eval_basis_derivative(el_b, rule.points, normal)
         ik = 1j * k_f

@@ -7,22 +7,8 @@ import os
 import sys
 
 
-def _parse_threads():
-    text = os.environ.get("TDG_THREADS")
-    if text is None:
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"TDG_THREADS must be an integer, got {text!r}")
-    if value < 1:
-        raise ValueError(f"TDG_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _pin_blas_threads():
-    # Linear algebra backends must not vary results with the worker budget;
-    # the pipeline itself is sequential, so TDG_THREADS only caps libraries.
+    # The pipeline is sequential; one BLAS thread per library unless set.
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
 
@@ -69,7 +55,6 @@ def main(argv=None):
     from .driver import run_experiment
 
     try:
-        _parse_threads()
         if args.preset is not None and args.config is not None:
             raise ConfigError("give either a config path or --preset, not both")
         if args.preset is not None:

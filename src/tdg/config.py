@@ -65,7 +65,6 @@ DEFAULTS = {
     },
     "output": {
         "write_vtk": "true",
-        "literal_square_estimate": "false",
     },
 }
 
@@ -94,7 +93,6 @@ class ExperimentConfig:
     calibration_q: tuple
     calibration_k: tuple
     write_vtk: bool
-    literal_square_estimate: bool
 
     def canonical_text(self):
         lines = []
@@ -263,7 +261,6 @@ def _build(raw):
         calibration_q=_get(raw, "adaptivity", "calibration_q", _int_list, "a list of integers"),
         calibration_k=_get(raw, "adaptivity", "calibration_k", _float_list, "a list of numbers"),
         write_vtk=_get_bool(raw, "output", "write_vtk"),
-        literal_square_estimate=_get_bool(raw, "output", "literal_square_estimate"),
     )
 
 

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy
+import scipy
 
 from .assembly import assemble_system
 from .directional import apply_directional_adaptivity
@@ -79,14 +84,8 @@ def _measure(mesh, solution, report, config, predictions, it, wall_ms):
         mesh, solution, config.problem, config.penalties, predictions=predictions
     )
     abs_err, exact_norm = l2_errors(solution, config.problem)
-    estimate = global_estimate(records, literal_square=config.literal_square_estimate)
-    eff = effectivities(
-        records,
-        solution,
-        config.problem,
-        literal_square=config.literal_square_estimate,
-        abs_error=abs_err,
-    )
+    estimate = global_estimate(records)
+    eff = effectivities(records, solution, config.problem, abs_error=abs_err)
     record = IterationRecord(
         iter=it,
         n_elements=len(mesh.elements),
@@ -318,6 +317,15 @@ def _records_csv(records):
     return "\n".join(lines) + "\n"
 
 
+def _environment():
+    """Interpreter and library versions plus the BLAS thread variables."""
+    env = {name: os.environ.get(name)
+           for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(python=platform.python_version(), numpy=numpy.__version__,
+               scipy=scipy.__version__)
+    return env
+
+
 def write_outputs(records, out_dir, config, tables=None, total_wall_ms=None):
     """Write convergence.csv and run.json for a completed run.
 
@@ -332,6 +340,7 @@ def write_outputs(records, out_dir, config, tables=None, total_wall_ms=None):
         payload = {
             "config": config.raw,
             "config_hash": config.config_hash(),
+            "environment": _environment(),
             "protocol": config.protocol,
             "records": [dataclasses.asdict(r) for r in records],
         }

@@ -25,7 +25,7 @@ import numpy as np
 
 from .assembly import PenaltyParams
 from .mesh import DIRICHLET, ROBIN
-from .quadrature import facet_rule
+from .quadrature import skeleton_rules
 from .problems import l2_errors
 
 
@@ -46,8 +46,8 @@ class IndicatorRecord:
         return (self.jump_u, self.jump_gradu, self.robin, self.dirichlet)
 
 
-def _facet_square_integrals(facet, mesh, solution, problem):
-    """Raw squared facet integrals, before elementwise weighting.
+def _facet_square_integrals(facet, rule, mesh, solution, problem):
+    """Raw squared facet integrals over `rule`, before elementwise weighting.
 
     Returns ``(targets, jump_u_sq, jump_gradu_sq, robin_sq, dirichlet_sq)``
     where ``targets`` lists the element ids the facet contributes to.
@@ -55,7 +55,6 @@ def _facet_square_integrals(facet, mesh, solution, problem):
     el_a = mesh.elements[facet.side_a]
     normal = facet.normal
     if facet.is_boundary:
-        rule = facet_rule(facet, el_a.k, el_a.degree)
         values, gn = solution.value_and_derivative(el_a, rule.points, normal)
         tag = facet.side_b
         data = problem.boundary_data(tag, rule.points, normal)
@@ -69,7 +68,6 @@ def _facet_square_integrals(facet, mesh, solution, problem):
             return [facet.side_a], 0.0, 0.0, 0.0, diri_sq
         raise ValueError(f"unknown boundary tag {tag!r}")
     el_b = mesh.elements[facet.side_b]
-    rule = facet_rule(facet, max(el_a.k, el_b.k), max(el_a.degree, el_b.degree))
     val_a, gn_a = solution.value_and_derivative(el_a, rule.points, normal)
     val_b, gn_b = solution.value_and_derivative(el_b, rule.points, normal)
     jump_u_sq = float(rule.weights @ np.abs(val_a - val_b) ** 2)
@@ -77,10 +75,21 @@ def _facet_square_integrals(facet, mesh, solution, problem):
     return [facet.side_a, facet.side_b], jump_u_sq, jump_gn_sq, 0.0, 0.0
 
 
-def _records_from_sums(mesh, element_ids, raw_sums, params, predictions):
+def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None):
+    """Indicator records for every element, ordered by element id."""
+    raw_sums = {eid: [0.0, 0.0, 0.0, 0.0] for eid in mesh.elements}
+    facets = mesh.facets()
+    for facet, rule in zip(facets, skeleton_rules(mesh, facets)):
+        targets, ju, jg, ro, di = _facet_square_integrals(facet, rule, mesh, solution, problem)
+        for eid in targets:
+            sums = raw_sums[eid]
+            sums[0] += ju
+            sums[1] += jg
+            sums[2] += ro
+            sums[3] += di
     records = []
     predictions = predictions or {}
-    for eid in sorted(element_ids):
+    for eid in mesh.element_ids():
         el = mesh.elements[eid]
         ju_sq, jg_sq, ro_sq, di_sq = raw_sums[eid]
         h = el.h
@@ -102,48 +111,12 @@ def _records_from_sums(mesh, element_ids, raw_sums, params, predictions):
     return records
 
 
-def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None):
-    """Indicator records for every element, ordered by element id."""
-    raw_sums = {eid: [0.0, 0.0, 0.0, 0.0] for eid in mesh.elements}
-    for facet in mesh.facets():
-        targets, ju, jg, ro, di = _facet_square_integrals(facet, mesh, solution, problem)
-        for eid in targets:
-            sums = raw_sums[eid]
-            sums[0] += ju
-            sums[1] += jg
-            sums[2] += ro
-            sums[3] += di
-    return _records_from_sums(mesh, mesh.elements.keys(), raw_sums, params, predictions)
+def global_estimate(records):
+    """Euclidean combination ``(sum eta^2)^(1/2)`` of the element indicators."""
+    return math.sqrt(sum(r.eta ** 2 for r in records))
 
 
-def element_indicator(element, solution, problem, params=PenaltyParams()):
-    """Indicator record for a single element of ``solution.mesh``."""
-    mesh = solution.mesh
-    raw_sums = {element.id: [0.0, 0.0, 0.0, 0.0]}
-    for facet in mesh.facets_by_element()[element.id]:
-        targets, ju, jg, ro, di = _facet_square_integrals(facet, mesh, solution, problem)
-        if element.id in targets:
-            sums = raw_sums[element.id]
-            sums[0] += ju
-            sums[1] += jg
-            sums[2] += ro
-            sums[3] += di
-    return _records_from_sums(mesh, [element.id], raw_sums, params, None)[0]
-
-
-def global_estimate(records, literal_square=False):
-    """Combine element indicators into the global estimate.
-
-    The default is the Euclidean combination ``(sum eta^2)^(1/2)``;
-    ``literal_square`` instead returns ``(sum eta^2)^2``.
-    """
-    total = sum(r.eta ** 2 for r in records)
-    if literal_square:
-        return total ** 2
-    return math.sqrt(total)
-
-
-def effectivities(records, solution, problem, literal_square=False, abs_error=None):
+def effectivities(records, solution, problem, abs_error=None):
     """(E_total, E_jump_u, E_jump_gradu, E_robin) against the exact L2 error.
 
     Each component effectivity is the Euclidean sum of that component over
@@ -152,7 +125,7 @@ def effectivities(records, solution, problem, literal_square=False, abs_error=No
     ``abs_error`` short-circuits the error quadrature when already known.
     """
     abs_err = abs_error if abs_error is not None else l2_errors(solution, problem)[0]
-    total = global_estimate(records, literal_square=literal_square)
+    total = global_estimate(records)
     comp_u = math.sqrt(sum(r.jump_u ** 2 for r in records))
     comp_g = math.sqrt(sum(r.jump_gradu ** 2 for r in records))
     comp_r = math.sqrt(sum(r.robin ** 2 for r in records))

@@ -2,14 +2,14 @@
 
 Nodes are computed by Newton iteration on the Legendre polynomials from
 Chebyshev initial guesses and cached per point count.  Facet and volume
-rules are tensor products mapped onto axis-aligned geometry.  The count
+rules are tensor products mapped onto axis-aligned geometry, all facets of
+a skeleton pass at once (facet_rules) with one facet's arithmetic.  The count
 per direction is n = q + ceil(0.7*k*h) + 12: products of two plane
 waves oscillate with phase up to c = k*h across the region, and n-point
 Gauss-Legendre resolves e^{ict} to 1e-12 only once n exceeds roughly
 0.68*c + 10 (measured), after which the error drops superexponentially.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,56 +60,87 @@ def gauss_rule(n):
 
 
 def points_per_direction(degree, wavenumber, diameter):
-    return int(degree) + math.ceil(0.7 * wavenumber * diameter) + 12
+    """Gauss points per axis; elementwise over arrays of facets."""
+    n = np.asarray(degree) + np.ceil(0.7 * np.asarray(wavenumber) * diameter).astype(int) + 12
+    return n if n.ndim else int(n)
 
 
-def _tensor_points(axes_1d):
-    grids = np.meshgrid(*[a for a, _ in axes_1d], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*[w for _, w in axes_1d], indexing="ij")
-    w = np.ones(pts.shape[0])
-    for wg in wgrids:
-        w = w * wg.ravel()
-    return pts, w
+def _tensor_points(nodes, weights):
+    """Tensor grids of B sets of d 1D rules, nodes and weights (B, d, n).
+
+    Points come out (B, n**d, d) in meshgrid "ij" order (first axis
+    slowest); weights (B, n**d) are 1 * w_0 * w_1 * ... in axis order.
+    """
+    batch, d, n = nodes.shape
+    grid = (batch,) + (n,) * d
+    pts = np.empty(grid + (d,))
+    w = np.ones(grid)
+    for ax in range(d):
+        spread = (slice(None),) + tuple(slice(None) if a == ax else None for a in range(d))
+        pts[..., ax] = nodes[:, ax][spread]
+        w = w * weights[:, ax][spread]
+    return pts.reshape(batch, -1, d), w.reshape(batch, -1)
+
+
+def facet_rules(facets, k_max, q_max):
+    """Tensor Gauss rules on axis-aligned facets, built in one pass.
+
+    Facet i gets points_per_direction(q_max[i], k_max[i], diameter) points
+    per tangential axis.  Facets sharing a point count and normal axis are
+    mapped together, each tangential axis as mid + half * x with weights
+    half * w, the normal coordinate set to lo[axis].  Yields one rule per
+    facet, in order, as views into the group arrays, so a pass never holds
+    all per-facet rule objects at once; each facet needs lo/hi corners and
+    the normal axis.
+    """
+    lo = np.array([facet.lo for facet in facets])
+    hi = np.array([facet.hi for facet in facets])
+    axes = np.array([facet.axis for facet in facets])
+    # Facet.diameter, evaluated once per distinct extent hi - lo.
+    extents, which = np.unique(hi - lo, axis=0, return_inverse=True)
+    diameter = np.array([float(np.linalg.norm(e)) for e in extents])[which.reshape(-1)]
+    n_pts = points_per_direction(np.asarray(q_max), np.asarray(k_max), diameter)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    where = np.empty((len(facets), 2), dtype=int)  # (group, slot) of each facet
+    grids = []
+    for n, axis in sorted(set(zip(n_pts.tolist(), axes.tolist()))):
+        members = np.flatnonzero((n_pts == n) & (axes == axis))
+        x, w = _gauss_nodes(n)
+        tangential = [ax for ax in range(lo.shape[1]) if ax != axis]
+        sub = np.ix_(members, tangential)
+        pts_t, wts = _tensor_points(
+            mid[sub][..., None] + half[sub][..., None] * x, half[sub][..., None] * w
+        )
+        pts = np.empty(pts_t.shape[:2] + lo.shape[1:])
+        pts[:, :, tangential] = pts_t
+        pts[:, :, axis] = lo[members, axis, None]
+        where[members, 0] = len(grids)
+        where[members, 1] = np.arange(len(members))
+        grids.append((pts, wts))
+    for g, j in where.tolist():
+        pts, wts = grids[g]
+        yield QuadratureRule(points=pts[j], weights=wts[j])
 
 
 def facet_rule(facet, k_max, q_max):
-    """Tensor Gauss rule on an axis-aligned facet.
+    """Tensor Gauss rule on one axis-aligned facet (see facet_rules)."""
+    return next(facet_rules([facet], [k_max], [q_max]))
 
-    `facet` needs lo/hi corners, the normal axis index and a diameter.
-    """
-    n = points_per_direction(q_max, k_max, facet.diameter)
-    x, w = _gauss_nodes(n)
-    lo, hi = facet.lo, facet.hi
-    dim = lo.shape[0]
-    axes = []
-    for ax in range(dim):
-        if ax == facet.axis:
-            continue
-        mid = 0.5 * (lo[ax] + hi[ax])
-        half = 0.5 * (hi[ax] - lo[ax])
-        axes.append((mid + half * x, half * w))
-    pts_t, wts = _tensor_points(axes)
-    pts = np.empty((pts_t.shape[0], dim))
-    col = 0
-    for ax in range(dim):
-        if ax == facet.axis:
-            pts[:, ax] = lo[ax]
-        else:
-            pts[:, ax] = pts_t[:, col]
-            col += 1
-    return QuadratureRule(points=pts, weights=wts)
+
+def skeleton_rules(mesh, facets):
+    """facet_rules for mesh facets, at the larger k and degree of their sides."""
+    els = mesh.elements
+    sides = [(els[f.side_a], els[f.side_a if f.is_boundary else f.side_b]) for f in facets]
+    k_max = [max(a.k, b.k) for a, b in sides]
+    return facet_rules(facets, k_max, [max(a.degree, b.degree) for a, b in sides])
 
 
 def volume_rule(element):
     """Tensor Gauss rule on an axis-aligned element box."""
     n = points_per_direction(element.degree, element.k, element.h)
     x, w = _gauss_nodes(n)
-    lo, hi = element.lo, element.hi
-    axes = []
-    for ax in range(lo.shape[0]):
-        mid = 0.5 * (lo[ax] + hi[ax])
-        half = 0.5 * (hi[ax] - lo[ax])
-        axes.append((mid + half * x, half * w))
-    pts, wts = _tensor_points(axes)
-    return QuadratureRule(points=pts, weights=wts)
+    mid = 0.5 * (element.lo + element.hi)
+    half = 0.5 * (element.hi - element.lo)
+    pts, wts = _tensor_points((mid[:, None] + half[:, None] * x)[None], (half[:, None] * w)[None])
+    return QuadratureRule(points=pts[0], weights=wts[0])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from tdg.assembly import PenaltyParams, assemble_system
@@ -163,3 +164,36 @@ def test_assembly_is_deterministic():
     assert np.array_equal(
         assemble_system(mesh, problem).rhs, assemble_system(mesh, problem).rhs
     )
+
+
+def _meshgrid_csr(system):
+    # Reference: the per-block meshgrid flattening to_sparse replaced.
+    rows, cols, data = [], [], []
+    for test_id, trial_id in sorted(system.blocks):
+        r0, r1 = system.dof_map[test_id]
+        c0, c1 = system.dof_map[trial_id]
+        rr, cc = np.meshgrid(np.arange(r0, r1), np.arange(c0, c1), indexing="ij")
+        rows.append(rr.ravel())
+        cols.append(cc.ravel())
+        data.append(system.blocks[(test_id, trial_id)].ravel())
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(system.dim, system.dim),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, direction, n, marked",
+    [("unit_square", (0.6, 0.8), 4, [0, 5]), ("unit_cube", (0.0, 0.6, 0.8), 2, [0])],
+)
+def test_to_sparse_equals_meshgrid_flattening(kind, direction, n, marked):
+    problem = _plane_problem(kind, direction)
+    mesh = refine_elements(_mesh_for(problem, n, 2), marked)
+    for eid, el in mesh.elements.items():
+        el.degree = 1 + eid % 3  # mixed p: off-diagonal blocks are rectangular
+    system = assemble_system(mesh, problem)
+    assert any(b.shape[0] != b.shape[1] for b in system.blocks.values())
+    got, want = system.to_sparse(), _meshgrid_csr(system)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)

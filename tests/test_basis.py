@@ -122,6 +122,37 @@ def test_element_directions_override():
         element.directions_override = None
 
 
+@pytest.mark.parametrize(
+    "kind, direction", [("unit_square", (0.6, 0.8)), ("unit_cube", (0.48, 0.6, 0.64))]
+)
+def test_element_directions_follow_in_place_mesh_changes(kind, direction):
+    # The table2/table3 protocols rotate frames and raise degrees in place;
+    # the per-frame direction cache must follow both and yield to overrides.
+    mesh = build_initial_mesh(DomainSpec(kind=kind), 2, ConstantWavenumber(10.0), 2)
+    first, second = (mesh.elements[eid] for eid in mesh.element_ids()[:2])
+
+    def check():
+        for el in mesh.elements.values():
+            expected = el.directions_override
+            if expected is None:
+                expected = rotated_directions(el.n_waves, el.frame)
+            assert np.array_equal(element_directions(el), expected)
+
+    check()  # fills the cache of the shared canonical frame
+    first.frame = frame_from_direction(direction)
+    check()
+    assert element_directions(first) is element_directions(first)
+    for el in mesh.elements.values():
+        el.degree += 1
+    check()
+    custom = np.eye(len(direction))
+    second.directions_override = custom
+    assert element_directions(second) is custom
+    check()
+    second.directions_override = None
+    check()
+
+
 def test_eval_basis_values_and_phases():
     element = _element(k=10.0)
     pts = np.array([[0.5, 0.5], [0.25, 0.75]])

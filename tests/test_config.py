@@ -55,7 +55,6 @@ def test_defaults_resolve_from_empty_text():
     assert config.calibration_q == (3, 4, 5, 6, 7, 8)
     assert config.calibration_k == (20.0, 30.0, 40.0, 50.0)
     assert config.write_vtk is True
-    assert config.literal_square_estimate is False
     assert config.domain.boundary_partition == {"all": "robin"}
 
 

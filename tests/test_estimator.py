@@ -10,7 +10,6 @@ from tdg.assembly import PenaltyParams, assemble_system
 from tdg.estimator import (
     IndicatorRecord,
     effectivities,
-    element_indicator,
     global_estimate,
     indicators,
 )
@@ -109,17 +108,6 @@ def test_dirichlet_mismatch_component():
     assert rec.robin == 0.0
 
 
-def test_element_indicator_matches_full_sweep():
-    problem = _plane_problem()
-    mesh = _mesh(problem, n=2)
-    solution = _zero_solution(mesh)
-    records = {r.element: r for r in indicators(mesh, solution, problem)}
-    for el in mesh.elements.values():
-        single = element_indicator(el, solution, problem)
-        assert single.eta == pytest.approx(records[el.id].eta, rel=1e-14)
-        assert single.components == pytest.approx(records[el.id].components, rel=1e-14)
-
-
 def test_custom_penalty_weights_scale_components():
     problem = _plane_problem()
     mesh = _mesh(problem, n=2)
@@ -146,7 +134,7 @@ def test_predictions_are_attached():
     assert all(math.isinf(by_id[e].eta_pred) for e in by_id if e != 0)
 
 
-def test_global_estimate_euclidean_and_literal():
+def test_global_estimate_is_euclidean():
     records = [
         IndicatorRecord(element=0, eta=3.0, jump_u=3.0, jump_gradu=0.0, robin=0.0,
                         dirichlet=0.0),
@@ -154,7 +142,6 @@ def test_global_estimate_euclidean_and_literal():
                         dirichlet=0.0),
     ]
     assert global_estimate(records) == pytest.approx(5.0)
-    assert global_estimate(records, literal_square=True) == pytest.approx(625.0)
 
 
 def test_effectivities_from_components():

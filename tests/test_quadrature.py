@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tdg.mesh import DomainSpec, build_initial_mesh
+from tdg.mesh import DomainSpec, build_initial_mesh, refine_elements
 from tdg.problems import ConstantWavenumber
-from tdg.quadrature import facet_rule, gauss_rule, points_per_direction, volume_rule
+from tdg.quadrature import (
+    _gauss_nodes,
+    facet_rule,
+    gauss_rule,
+    points_per_direction,
+    skeleton_rules,
+    volume_rule,
+)
 
 
 def _mesh(n=1, k=10.0, q0=3, kind="unit_square"):
@@ -105,3 +112,81 @@ def test_facet_rule_sits_on_facet_plane():
         rule = facet_rule(facet, 10.0, 3)
         assert_allclose(rule.points[:, facet.axis], facet.lo[facet.axis], atol=0.0)
         assert rule.weights.sum() == pytest.approx(facet.measure, abs=1e-14)
+
+
+# Reference: the per-facet meshgrid construction the batched rules replaced.
+def _meshgrid_tensor(axes_1d):
+    grids = np.meshgrid(*[a for a, _ in axes_1d], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    wgrids = np.meshgrid(*[w for _, w in axes_1d], indexing="ij")
+    w = np.ones(pts.shape[0])
+    for wg in wgrids:
+        w = w * wg.ravel()
+    return pts, w
+
+
+def _axis_rule(lo, hi, ax, x, w):
+    mid = 0.5 * (lo[ax] + hi[ax])
+    half = 0.5 * (hi[ax] - lo[ax])
+    return mid + half * x, half * w
+
+
+def _reference_facet_rule(facet, k_max, q_max):
+    x, w = _gauss_nodes(points_per_direction(q_max, k_max, facet.diameter))
+    dim = facet.lo.shape[0]
+    tangential = [ax for ax in range(dim) if ax != facet.axis]
+    pts_t, wts = _meshgrid_tensor(
+        [_axis_rule(facet.lo, facet.hi, ax, x, w) for ax in tangential]
+    )
+    pts = np.empty((pts_t.shape[0], dim))
+    pts[:, facet.axis] = facet.lo[facet.axis]
+    pts[:, tangential] = pts_t
+    return pts, wts
+
+
+def _reference_volume_rule(element):
+    x, w = _gauss_nodes(points_per_direction(element.degree, element.k, element.h))
+    return _meshgrid_tensor(
+        [_axis_rule(element.lo, element.hi, ax, x, w) for ax in range(element.dim)]
+    )
+
+
+def _hp_mesh(kind, n, marked):
+    mesh = refine_elements(_mesh(n=n, k=17.0, q0=2, kind=kind), marked)
+    for eid, el in mesh.elements.items():
+        el.degree = 2 + eid % 3
+    return mesh
+
+
+@pytest.mark.parametrize(
+    "kind, n, marked", [("unit_square", 4, [0, 5, 6]), ("unit_cube", 2, [0, 3])]
+)
+def test_batched_facet_rules_equal_meshgrid_reference(kind, n, marked):
+    mesh = _hp_mesh(kind, n, marked)
+    facets = mesh.facets()
+    levels = {(f.level, mesh.elements[f.side_b].level) for f in facets if not f.is_boundary}
+    assert (1, 0) in levels  # hanging facets: finer side_a, coarser side_b
+    assert any(f.is_boundary for f in facets)
+    rules = list(skeleton_rules(mesh, facets))
+    assert len(rules) == len(facets)
+    for facet, rule in zip(facets, rules):
+        el_a = mesh.elements[facet.side_a]
+        sides = [el_a] if facet.is_boundary else [el_a, mesh.elements[facet.side_b]]
+        k_max = max(el.k for el in sides)
+        q_max = max(el.degree for el in sides)
+        pts, wts = _reference_facet_rule(facet, k_max, q_max)
+        assert np.array_equal(rule.points, pts)
+        assert np.array_equal(rule.weights, wts)
+        single = facet_rule(facet, k_max, q_max)
+        assert np.array_equal(single.points, pts)
+        assert np.array_equal(single.weights, wts)
+
+
+@pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
+def test_volume_rule_equals_meshgrid_reference(kind):
+    mesh = _hp_mesh(kind, 2, [1])
+    for element in mesh.elements.values():
+        rule = volume_rule(element)
+        pts, wts = _reference_volume_rule(element)
+        assert np.array_equal(rule.points, pts)
+        assert np.array_equal(rule.weights, wts)
