@@ -5,8 +5,7 @@ its centroid.  In 2D the p = 2q+1 directions are evenly spaced angles
 rotated rigidly by the element frame angle; in 3D the p = (q+1)^2
 directions come from bundled near-maximum-determinant sphere point sets
 (first point at the north pole) mapped by the frame's orthogonal
-matrix.  A Fibonacci-lattice fallback for missing 3D degrees can be
-enabled explicitly and warns on use.
+matrix; they cover q = 1..8.
 
 Values are built from the complex product (x - x_K) @ (i k d)^T, whose
 real parts are +-0 and whose imaginary parts are the phases, by writing
@@ -27,7 +26,6 @@ A frame is immutable, so it caches its rotated direction set per wave
 count p; an element's directions_override bypasses the frame.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -66,15 +64,6 @@ def canonical_frame(dim):
     return DirectionFrame(dim=dim)
 
 
-_fallback_enabled = False
-
-
-def set_direction_fallback(enabled):
-    """Allow Fibonacci-lattice 3D directions for degrees without data files."""
-    global _fallback_enabled
-    _fallback_enabled = bool(enabled)
-
-
 def _rotate_first_to_pole(points):
     v = points[0] / np.linalg.norm(points[0])
     s = np.hypot(v[0], v[1])
@@ -111,17 +100,6 @@ def _load_sphere_points(p):
 
 
 @lru_cache(maxsize=None)
-def _fibonacci_sphere(p):
-    i = np.arange(p)
-    z = 1.0 - (2.0 * i + 1.0) / p
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = pi * (3.0 - np.sqrt(5.0))
-    phi = golden * i
-    pts = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-    return _rotate_first_to_pole(pts)
-
-
-@lru_cache(maxsize=None)
 def canonical_directions(p, dim):
     """Canonical unit directions, shape (p, dim); first is (1,0)/(0,0,1)."""
     if dim == 2:
@@ -131,16 +109,7 @@ def canonical_directions(p, dim):
         pts = _load_sphere_points(p)
         if pts is not None:
             return pts
-        if _fallback_enabled:
-            warnings.warn(
-                f"no bundled direction set for p={p}; using a Fibonacci "
-                "lattice, which degrades the basis quality",
-                stacklevel=2,
-            )
-            return _fibonacci_sphere(p)
-        raise UnsupportedDegreeError(
-            f"no bundled 3D direction set for p={p} and the fallback is disabled"
-        )
+        raise UnsupportedDegreeError(f"no bundled 3D direction set for p={p}")
     raise UnsupportedDegreeError(f"unsupported dimension {dim}")
 
 

@@ -144,17 +144,16 @@ class Element:
     frame: DirectionFrame
     directions_override: np.ndarray | None = None
 
+    def __post_init__(self):
+        # lo and hi are never reassigned, so the centroid and the diameter h
+        # are computed once; the centroid is read-only so a stray write raises.
+        self.centroid = 0.5 * (self.lo + self.hi)
+        self.centroid.setflags(write=False)
+        self.h = float(np.linalg.norm(self.hi - self.lo))
+
     @property
     def dim(self):
         return self.lo.shape[0]
-
-    @property
-    def centroid(self):
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def h(self):
-        return float(np.linalg.norm(self.hi - self.lo))
 
     @property
     def n_waves(self):

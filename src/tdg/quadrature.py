@@ -18,10 +18,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points (m, dim) or (m,) on the reference/physical region, weights (m,)."""
+    """Points (m, dim) and weights (m,) on a physical region.
+
+    A volume rule also keeps its per-axis nodes (dim, n) in `axis_points`;
+    `points` is their tensor grid in "ij" order (first axis slowest).
+    """
 
     points: np.ndarray
     weights: np.ndarray
+    axis_points: np.ndarray | None = None
 
 
 @lru_cache(maxsize=None)
@@ -51,12 +56,6 @@ def _gauss_nodes(n):
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     return x[order], w[order]
-
-
-def gauss_rule(n):
-    """n-point Gauss-Legendre rule on [-1, 1]."""
-    x, w = _gauss_nodes(n)
-    return QuadratureRule(points=x.copy(), weights=w.copy())
 
 
 def points_per_direction(degree, wavenumber, diameter):
@@ -137,10 +136,16 @@ def skeleton_rules(mesh, facets):
 
 
 def volume_rule(element):
-    """Tensor Gauss rule on an axis-aligned element box."""
+    """Tensor Gauss rule on an axis-aligned element box.
+
+    Its axis_points, mid + half * x per axis, are the very arrays that
+    points expands, so a separable integrand evaluated on them and ravelled
+    in "ij" order lines up with points and weights.
+    """
     n = points_per_direction(element.degree, element.k, element.h)
     x, w = _gauss_nodes(n)
     mid = 0.5 * (element.lo + element.hi)
     half = 0.5 * (element.hi - element.lo)
-    pts, wts = _tensor_points((mid[:, None] + half[:, None] * x)[None], (half[:, None] * w)[None])
-    return QuadratureRule(points=pts[0], weights=wts[0])
+    nodes = mid[:, None] + half[:, None] * x
+    pts, wts = _tensor_points(nodes[None], (half[:, None] * w)[None])
+    return QuadratureRule(points=pts[0], weights=wts[0], axis_points=nodes)

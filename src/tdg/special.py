@@ -55,14 +55,3 @@ def hankel1(order, x):
 
     out = h1(order, arr)
     return complex(out) if arr.ndim == 0 else out
-
-
-def eval_special(kind, order, x):
-    """Dispatch: kind "J" (any real order >= 0), "Y" or "H1" (orders 0, 1)."""
-    if kind == "J":
-        return bessel_j(order, x)
-    if kind == "Y":
-        return bessel_y(order, x)
-    if kind == "H1":
-        return hankel1(order, x)
-    raise SpecialDomainError(f"unknown special function kind {kind!r}")

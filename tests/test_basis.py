@@ -14,10 +14,11 @@ from tdg.basis import (
     frame_from_direction,
     rotated_directions,
     rotation_matrix_3d,
-    set_direction_fallback,
 )
 from tdg.mesh import DomainSpec, build_initial_mesh
 from tdg.problems import ConstantWavenumber
+from tdg.quadrature import volume_rule
+from tdg.solution import DiscreteSolution
 
 
 def _element(kind="unit_square", k=10.0, q0=3):
@@ -54,17 +55,6 @@ def test_canonical_directions_3d(q):
 def test_unsupported_3d_size_raises_without_fallback():
     with pytest.raises(UnsupportedDegreeError):
         canonical_directions(12, 3)
-
-
-def test_fallback_lattice_covers_other_sizes():
-    set_direction_fallback(True)
-    try:
-        with pytest.warns(UserWarning, match="Fibonacci"):
-            dirs = canonical_directions(12, 3)
-        assert dirs.shape == (12, 3)
-        assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
-    finally:
-        set_direction_fallback(False)
 
 
 def test_rotated_directions_2d():
@@ -193,6 +183,38 @@ def test_eval_basis_equals_complex_exp_bit_for_bit(kind, k, q0, override):
     pts = element.lo + rng.random((400, element.dim)) * (element.hi - element.lo)
     values = eval_basis(element, pts)
     assert np.array_equal(values, _reference_values(element, pts))
+
+
+@pytest.mark.parametrize(
+    "kind,k,override",
+    [
+        ("unit_square", 20.0, None),
+        ("unit_cube", 20.0, None),
+        ("unit_square", 22.0, 2),
+        ("unit_square", 11.0, 1),
+    ],
+)
+def test_solution_on_grid_matches_pointwise_values(kind, k, override):
+    # Mixed degrees, one rotated frame, and criterion 3's override shapes.
+    mesh = build_initial_mesh(DomainSpec(kind=kind), 2, ConstantWavenumber(k), 2)
+    direction = (0.6, 0.8) if kind == "unit_square" else (0.48, 0.6, 0.64)
+    mesh.elements[mesh.element_ids()[0]].frame = frame_from_direction(direction)
+    rng = np.random.default_rng(3)
+    coefficients = {}
+    for eid, el in mesh.elements.items():
+        el.degree = 2 + eid % 3
+        if override is not None:
+            el.directions_override = _refraction_override(override)
+        coefficients[eid] = rng.normal(size=el.n_waves) + 1j * rng.normal(size=el.n_waves)
+    solution = DiscreteSolution(mesh, coefficients)
+    for el in mesh.elements.values():
+        rule = volume_rule(el)
+        coeff = coefficients[el.id]
+        expected = eval_basis(el, rule.points) @ coeff
+        grid = solution.on_grid(el, rule.axis_points)
+        # A value sums p unit-modulus waves and may cancel to near 0, so the
+        # relative tolerance is taken against sum |c_l|, the sum's scale.
+        assert_allclose(grid, expected, rtol=0.0, atol=1e-13 * np.abs(coeff).sum())
 
 
 @pytest.mark.parametrize("kind,q0", [("unit_square", 4), ("unit_cube", 3)])

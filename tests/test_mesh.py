@@ -55,6 +55,9 @@ def test_initial_geometry_and_metadata():
     for el in mesh.elements.values():
         assert_allclose(el.hi - el.lo, 0.25, atol=0.0)
         assert el.h == pytest.approx(0.25 * np.sqrt(2.0))
+        assert el.centroid is el.centroid  # computed once per element
+        with pytest.raises(ValueError):
+            el.centroid[0] = 0.0  # read-only, so a stray write cannot corrupt it
         assert el.k == 20.0
         assert el.degree == 5
         assert el.n_waves == 11

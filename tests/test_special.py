@@ -13,7 +13,6 @@ from tdg.special import (
     SpecialDomainError,
     bessel_j,
     bessel_y,
-    eval_special,
     hankel1,
 )
 
@@ -138,14 +137,6 @@ def test_importing_the_driver_does_not_load_scipy_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
-
-
-def test_eval_special_dispatch():
-    assert eval_special("J", 0.0, 0.5) == bessel_j(0.0, 0.5)
-    assert eval_special("Y", 1, 2.5) == bessel_y(1, 2.5)
-    assert eval_special("H1", 0, 1.0) == hankel1(0, 1.0)
-    with pytest.raises(SpecialDomainError):
-        eval_special("airy", 0, 1.0)
 
 
 def test_domain_errors():
