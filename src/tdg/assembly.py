@@ -158,8 +158,3 @@ def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
             raise AssemblyError(f"element {eid} has no facet contributions")
     return GlobalSystem(blocks=blocks, rhs=rhs, dof_map=dof_map, dim=dim)
 
-
-def residual(system, coeffs):
-    """Normalized residual ||A x - b||_2 / max(||b||_2, 1)."""
-    vec = system.to_sparse() @ coeffs - system.rhs
-    return float(np.linalg.norm(vec) / max(np.linalg.norm(system.rhs), 1.0))

@@ -64,22 +64,6 @@ def canonical_frame(dim):
     return DirectionFrame(dim=dim)
 
 
-def _rotate_first_to_pole(points):
-    v = points[0] / np.linalg.norm(points[0])
-    s = np.hypot(v[0], v[1])
-    if s >= 1e-15:
-        frame = np.array(
-            [
-                [v[0] * v[2] / s, v[1] / s, v[0]],
-                [v[1] * v[2] / s, -v[0] / s, v[1]],
-                [-s, 0.0, v[2]],
-            ]
-        )
-        points = points @ frame  # frame.T applied from the left
-    points[0] = (0.0, 0.0, 1.0)
-    return points
-
-
 @lru_cache(maxsize=None)
 def _load_sphere_points(p):
     name = f"sphere_points_p{p}.txt"
@@ -96,7 +80,11 @@ def _load_sphere_points(p):
     if pts.shape != (p, 3):
         raise UnsupportedDegreeError(f"direction file {name} has shape {pts.shape}")
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return _rotate_first_to_pole(pts)
+    # scripts/generate_direction_sets.py writes the pole first; snap it exactly.
+    if np.max(np.abs(pts[0] - (0.0, 0.0, 1.0))) > 1e-12:
+        raise UnsupportedDegreeError(f"direction file {name} does not start at the pole")
+    pts[0] = (0.0, 0.0, 1.0)
+    return pts
 
 
 @lru_cache(maxsize=None)

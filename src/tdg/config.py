@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .assembly import PenaltyParams
-from .directional import POLICIES, _normalise_policy
+from .directional import POLICIES
 from .hp_adapt import MODES, AdaptConfig
 from .mesh import DIRICHLET, ROBIN, DomainSpec, _DOMAINS
 from .problems import ProblemSpec
@@ -213,10 +213,9 @@ def _build(raw):
     mode = raw["adaptivity"]["mode"]
     if mode not in MODES:
         raise ConfigError(f"[adaptivity] mode: expected one of {MODES}, got {mode!r}")
-    try:
-        policy = _normalise_policy(raw["adaptivity"]["policy"])
-    except ValueError as exc:
-        raise ConfigError(f"[adaptivity] policy: {exc}") from exc
+    policy = raw["adaptivity"]["policy"]
+    if policy not in POLICIES:
+        raise ConfigError(f"[adaptivity] policy: expected one of {POLICIES}, got {policy!r}")
     fraction = _get(raw, "adaptivity", "fraction", float, "a number")
     max_iters = _get(raw, "adaptivity", "max_iters", int, "an integer")
     if max_iters < 0:

@@ -10,8 +10,6 @@ forward/backward orientation by probing the local impedance trace.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .basis import frame_from_direction
@@ -19,7 +17,6 @@ from .basis import frame_from_direction
 GAP_FACTOR = 2.0
 SIGN_EPS = 1e-12
 SUM_EPS = 1e-8
-_JACOBI_SWEEPS = 50
 
 
 def _fix_sign(vector):
@@ -32,56 +29,6 @@ def _fix_sign(vector):
     return vector
 
 
-def _eig2(matrix):
-    a = matrix[0, 0]
-    b = 0.5 * (matrix[0, 1] + matrix[1, 0])
-    c = matrix[1, 1]
-    mean = 0.5 * (a + c)
-    half_gap = 0.5 * (a - c)
-    radius = math.hypot(half_gap, b)
-    values = np.array([mean + radius, mean - radius])
-    if radius <= SIGN_EPS * max(1.0, abs(mean)):
-        vectors = np.eye(2)
-    else:
-        # Eigenvector from the better-conditioned of the two defining rows.
-        if abs(half_gap + radius) >= abs(half_gap - radius):
-            v1 = np.array([half_gap + radius, b])
-        else:
-            v1 = np.array([b, -(half_gap - radius)])
-        v1 /= np.linalg.norm(v1)
-        vectors = np.column_stack([v1, [-v1[1], v1[0]]])
-    return values, vectors
-
-
-def _eig3(matrix):
-    a = 0.5 * (matrix + matrix.T)
-    v = np.eye(3)
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return np.zeros(3), v
-    for _ in range(_JACOBI_SWEEPS):
-        off = math.sqrt(a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2)
-        if off <= 1e-15 * scale:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if abs(apq) <= 1e-18 * scale:
-                continue
-            # Classical Jacobi rotation annihilating a[p, q].
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-            cos = 1.0 / math.sqrt(1.0 + t * t)
-            sin = t * cos
-            rot = np.eye(3)
-            rot[p, p] = cos
-            rot[q, q] = cos
-            rot[p, q] = sin
-            rot[q, p] = -sin
-            a = rot.T @ a @ rot
-            v = v @ rot
-    return np.diag(a).copy(), v
-
-
 def symmetric_eigenpairs(matrix):
     """Eigenpairs of a real symmetric 2x2 or 3x3 matrix, |value| descending.
 
@@ -91,12 +38,12 @@ def symmetric_eigenpairs(matrix):
     the output reproducible across runs.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape == (2, 2):
-        values, vectors = _eig2(matrix)
-    elif matrix.shape == (3, 3):
-        values, vectors = _eig3(matrix)
-    else:
+    if matrix.shape not in ((2, 2), (3, 3)):
         raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {matrix.shape}")
+    values, vectors = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    # eigh sorts ascending; reversed, the stable sort keeps ties in
+    # magnitude in descending algebraic order.
+    values, vectors = values[::-1], vectors[:, ::-1]
     order = np.argsort(-np.abs(values), kind="stable")
     values = values[order]
     vectors = vectors[:, order]
@@ -184,19 +131,6 @@ def element_direction(solution, element, gap=GAP_FACTOR, ball_radius=0.0):
 POLICIES = ("none", "marked-p", "marked-all", "all")
 
 
-def _normalise_policy(policy):
-    name = str(policy).strip().lower().replace("_", "-")
-    if name in ("marked-p-only", "marked-p"):
-        return "marked-p"
-    if name in ("marked-all", "marked"):
-        return "marked-all"
-    if name in ("all", "all-elements"):
-        return "all"
-    if name == "none":
-        return "none"
-    raise ValueError(f"unknown directional policy {policy!r}; expected one of {POLICIES}")
-
-
 def apply_directional_adaptivity(mesh, solution, policy, h_marked=(), p_marked=(),
                                  gap=GAP_FACTOR, ball_radius=0.0):
     """Re-orient the plane-wave fans of selected elements in place.
@@ -207,12 +141,13 @@ def apply_directional_adaptivity(mesh, solution, policy, h_marked=(), p_marked=(
     or ``all``.  Elements without a clear dominant direction keep their frame.
     Returns the mapping of element id to new frame for the elements updated.
     """
-    name = _normalise_policy(policy)
-    if name == "none":
+    if policy not in POLICIES:
+        raise ValueError(f"unknown directional policy {policy!r}; expected one of {POLICIES}")
+    if policy == "none":
         selected = []
-    elif name == "marked-p":
+    elif policy == "marked-p":
         selected = sorted(set(p_marked))
-    elif name == "marked-all":
+    elif policy == "marked-all":
         selected = sorted(set(h_marked) | set(p_marked))
     else:
         selected = sorted(mesh.elements)

@@ -54,14 +54,6 @@ class DiscreteSolution:
         coeff = self.coefficients[element.id]
         return values @ coeff, np.einsum("mp,p->m", dvals, coeff)
 
-    def at_centroid(self, element):
-        """(value, gradient) at the element centroid, in closed form."""
-        coeff = self.coefficients[element.id]
-        dirs = element_directions(element)
-        value = np.sum(coeff)
-        grad = 1j * element.k * (coeff @ dirs)
-        return value, grad
-
     def hessians_at_centroid(self, element):
         """Hessians of (Re u, Im u) at the centroid: two real symmetric matrices."""
         coeff = self.coefficients[element.id]

@@ -55,7 +55,7 @@ def _inverse_one_norm_estimate(solve_op, adjoint_op, n):
     return best
 
 
-def solve(system, estimate_condition=True):
+def solve(system):
     """LU-solve the global system; returns coefficients, cond estimate, residual."""
     b = system.rhs
     n = system.dim
@@ -95,10 +95,7 @@ def solve(system, estimate_condition=True):
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solution contains non-finite entries")
 
-    cond = float("nan")
-    if estimate_condition:
-        inv_norm = _inverse_one_norm_estimate(solve_op, adjoint_op, n)
-        cond = norm_a * inv_norm
+    cond = norm_a * _inverse_one_norm_estimate(solve_op, adjoint_op, n)
     res = float(
         np.linalg.norm(system.to_sparse() @ x - b) / max(np.linalg.norm(b), 1.0)
     )

@@ -1,9 +1,13 @@
 """Plane-wave direction sets, frame rotations, and basis evaluation."""
 
+from importlib import resources
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tdg import basis
 from tdg.basis import (
     UnsupportedDegreeError,
     canonical_directions,
@@ -46,10 +50,25 @@ def test_canonical_directions_3d(q):
     assert dirs.shape == (p, 3)
     assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
     assert_allclose(dirs[0], [0.0, 0.0, 1.0], atol=1e-12)
+    # Exactly the bundled file's rows, normalised, with the first snapped
+    # to the pole: loading applies no rotation.
+    rows = np.loadtxt(resources.files("tdg.data") / f"sphere_points_p{p}.txt")
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows[0] = (0.0, 0.0, 1.0)
+    assert np.array_equal(dirs, rows)
     # Distinct, reasonably separated points.
     gram = dirs @ dirs.T
     np.fill_diagonal(gram, -1.0)
     assert gram.max() < 1.0 - 1e-4
+
+
+def test_direction_file_must_start_at_pole(monkeypatch):
+    text = "0 1 0\n0 0 1\n1 0 0\n-1 0 0\n"
+    file = SimpleNamespace(read_text=lambda: text)
+    package = SimpleNamespace(joinpath=lambda name: file)
+    monkeypatch.setattr(basis, "resources", SimpleNamespace(files=lambda name: package))
+    with pytest.raises(UnsupportedDegreeError, match="does not start at the pole"):
+        basis._load_sphere_points.__wrapped__(4)
 
 
 def test_unsupported_3d_size_raises_without_fallback():

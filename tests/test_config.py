@@ -131,13 +131,10 @@ def test_enumerated_choices():
         load_config_text("[adaptivity]\npolicy = sometimes\n")
 
 
-def test_policy_aliases_normalise():
-    config = load_config_text("[adaptivity]\npolicy = marked\n")
-    assert config.adapt.policy == "marked-all"
-    config = load_config_text("[adaptivity]\npolicy = marked_p_only\n")
-    assert config.adapt.policy == "marked-p"
-    config = load_config_text("[adaptivity]\npolicy = all-elements\n")
-    assert config.adapt.policy == "all"
+def test_policy_aliases_rejected():
+    for alias in ("marked", "marked_p_only", "all-elements", "ALL"):
+        with pytest.raises(ConfigError, match=r"\[adaptivity\] policy:"):
+            load_config_text(f"[adaptivity]\npolicy = {alias}\n")
 
 
 def test_problem_validation_is_wrapped():

@@ -10,7 +10,6 @@ from tdg.basis import canonical_directions, element_directions
 from tdg.directional import (
     GAP_FACTOR,
     POLICIES,
-    _normalise_policy,
     apply_directional_adaptivity,
     element_direction,
     hessian_eigenpairs,
@@ -215,12 +214,11 @@ def test_element_direction_none_for_isotropic_field():
 
 def test_policy_names_and_aliases():
     assert POLICIES == ("none", "marked-p", "marked-all", "all")
-    assert _normalise_policy("marked_p") == "marked-p"
-    assert _normalise_policy("marked-p-only") == "marked-p"
-    assert _normalise_policy("ALL") == "all"
-    assert _normalise_policy("all-elements") == "all"
-    with pytest.raises(ValueError):
-        _normalise_policy("everything")
+    mesh = _mesh(n=2, q0=3)
+    solution = _single_wave_solution(mesh, index=1)
+    for name in ("marked_p", "marked-p-only", "ALL", "all-elements", "everything"):
+        with pytest.raises(ValueError, match="unknown directional policy"):
+            apply_directional_adaptivity(mesh, solution, name)
 
 
 def test_apply_policy_none_changes_nothing():

@@ -173,7 +173,7 @@ def test_stagnation_stop_on_rising_estimate(monkeypatch):
                             robin=0.0, dirichlet=0.0)
             for eid in sorted(mesh.elements)
         ]
-        return _record(it, est=est, cond=10.0), fake_records
+        return _record(it, est=est, cond=10.0), fake_records, None
 
     monkeypatch.setattr(driver, "_solve_on", fake_solve_on)
     monkeypatch.setattr(driver, "_measure", fake_measure)
@@ -196,7 +196,7 @@ def test_stagnation_disabled_runs_to_budget(monkeypatch):
                             robin=0.0, dirichlet=0.0)
             for eid in sorted(mesh.elements)
         ]
-        return _record(it, est=est, cond=10.0), fake_records
+        return _record(it, est=est, cond=10.0), fake_records, None
 
     monkeypatch.setattr(driver, "_solve_on", fake_solve_on)
     monkeypatch.setattr(driver, "_measure", fake_measure)
@@ -210,7 +210,7 @@ def test_condition_limit_stops_loop(monkeypatch):
         return None, SimpleNamespace(condition_estimate=1e15)
 
     def fake_measure(mesh, solution, report, cfg, predictions, it, wall_ms):
-        return _record(it, cond=1e15), []
+        return _record(it, cond=1e15), [], None
 
     monkeypatch.setattr(driver, "_solve_on", fake_solve_on)
     monkeypatch.setattr(driver, "_measure", fake_measure)

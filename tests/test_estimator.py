@@ -151,7 +151,7 @@ def test_effectivities_from_components():
         IndicatorRecord(element=1, eta=0.0, jump_u=0.0, jump_gradu=0.0, robin=0.0,
                         dirichlet=0.0),
     ]
-    total, e_u, e_g, e_r = effectivities(records, None, None, abs_error=2.0)
+    total, e_u, e_g, e_r = effectivities(records, 2.0)
     assert total == pytest.approx(6.5)
     assert e_u == pytest.approx(1.5)
     assert e_g == pytest.approx(2.0)
@@ -163,7 +163,7 @@ def test_effectivities_zero_error_is_infinite():
         IndicatorRecord(element=0, eta=1.0, jump_u=1.0, jump_gradu=0.0, robin=0.0,
                         dirichlet=0.0)
     ]
-    values = effectivities(records, None, None, abs_error=0.0)
+    values = effectivities(records, 0.0)
     assert all(math.isinf(v) for v in values)
 
 

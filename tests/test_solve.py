@@ -35,11 +35,6 @@ def test_diagonal_condition_estimate_is_exact():
     assert report.condition_estimate == pytest.approx(2.0 / 1e-6, rel=1e-10)
 
 
-def test_condition_estimate_optional():
-    report = solve(_system(np.eye(3), np.ones(3)), estimate_condition=False)
-    assert np.isnan(report.condition_estimate)
-
-
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_matrix_raises():
     matrix = np.ones((3, 3))
