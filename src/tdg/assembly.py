@@ -30,9 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import eval_basis_derivative
+from .mesh import DIRICHLET, ROBIN
 from .quadrature import skeleton_rules
-
-VALID_TAGS = ("robin", "dirichlet")
 
 
 class AssemblyError(Exception):
@@ -110,7 +109,7 @@ def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
         w = rule.weights
         if facet.is_boundary:
             tag = facet.side_b
-            if tag not in VALID_TAGS:
+            if tag not in (ROBIN, DIRICHLET):
                 raise AssemblyError(f"facet carries invalid boundary tag {tag!r}")
             k = el_a.k
             values, dnorm = eval_basis_derivative(el_a, rule.points, normal)
@@ -118,7 +117,7 @@ def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
             wv = w[:, None] * values
             wg = w[:, None] * dnorm
             gdata = problem.boundary_data(tag, rule.points, normal)
-            if tag == "robin":
+            if tag == ROBIN:
                 ikt = 1j * k * vtheta
                 mat = (1.0 - delta) * (gc.T @ wv + ikt * (vc.T @ wv)) - delta * (
                     (1.0 / ikt) * (gc.T @ wg) + vc.T @ wg

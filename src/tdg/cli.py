@@ -25,22 +25,8 @@ def build_parser():
     run.add_argument("--preset", help="name of a packaged preset configuration")
     run.add_argument("--max-iters", type=int, dest="max_iters",
                      help="override the adaptive iteration budget")
-    run.add_argument("--policy", choices=["none", "marked-p", "marked-all", "all"],
-                     help="override the directional adaptivity policy")
+    run.add_argument("--policy", help="override the directional adaptivity policy")
     return parser
-
-
-def _apply_overrides(config, args):
-    from .config import _build
-
-    if args.max_iters is None and args.policy is None:
-        return config
-    raw = {section: dict(values) for section, values in config.raw.items()}
-    if args.max_iters is not None:
-        raw["adaptivity"]["max_iters"] = str(args.max_iters)
-    if args.policy is not None:
-        raw["adaptivity"]["policy"] = args.policy
-    return _build(raw)
 
 
 def main(argv=None):
@@ -48,7 +34,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    from .config import ConfigError, load_config, load_preset
+    from .config import ConfigError, load_config, load_preset, override
     from .mesh import MeshError
     from .problems import ProblemError
     from .solve import SingularSystemError
@@ -63,7 +49,11 @@ def main(argv=None):
             config = load_config(args.config)
         else:
             raise ConfigError("missing config path (or use --preset NAME)")
-        config = _apply_overrides(config, args)
+        # Overrides pass the same validation as the file's own values.
+        flags = {"max_iters": args.max_iters, "policy": args.policy}
+        config = override(config, {"adaptivity": {
+            key: str(value) for key, value in flags.items() if value is not None
+        }})
     except (ConfigError, MeshError, ProblemError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

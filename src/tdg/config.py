@@ -263,6 +263,17 @@ def _build(raw):
     )
 
 
+def override(config, values):
+    """Validated copy of `config` with `{section: {key: text}}` replaced."""
+    raw = {section: dict(entries) for section, entries in config.raw.items()}
+    for section, entries in values.items():
+        for key, text in entries.items():
+            if key not in DEFAULTS[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+            raw[section][key] = text
+    return _build(raw)
+
+
 def load_config(path):
     """Parse and validate a config file into an ExperimentConfig."""
     parser = configparser.ConfigParser(interpolation=None)

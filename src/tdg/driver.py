@@ -14,6 +14,7 @@ import numpy
 import scipy
 
 from .assembly import assemble_system
+from .config import override
 from .directional import apply_directional_adaptivity
 from .estimator import effectivities, global_estimate, indicators
 from .hp_adapt import (
@@ -64,17 +65,6 @@ def _solve_on(mesh, config):
     return solution, report
 
 
-def _solve_guarded(mesh, config, history):
-    # On breakdown, carry the records gathered so far out with the error so
-    # run_experiment can still flush them.
-    try:
-        return _solve_on(mesh, config)
-    except SingularSystemError as exc:
-        if not hasattr(exc, "partial_records"):
-            exc.partial_records = list(history)
-        raise
-
-
 def _dofs(mesh):
     return sum(el.n_waves for el in mesh.elements.values())
 
@@ -103,36 +93,43 @@ def _measure(mesh, solution, report, config, predictions, it, wall_ms):
     return record, records, (abs_err, exact_norm)
 
 
-def _maybe_vtk(config, out_dir, it, mesh, indicator_records):
-    if out_dir is None or not config.write_vtk:
-        return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    eta = {r.element: r.eta for r in indicator_records}
-    write_vtk(out / f"mesh_iter{it:03d}.vtk", mesh, eta)
+def _step(mesh, config, predictions, it, history, out_dir):
+    """Solve, measure and record one configuration (plus its VTK snapshot).
+
+    Returns the solution, the indicator records and the exact L2 errors.
+    """
+    t0 = time.perf_counter()
+    solution, report = _solve_on(mesh, config)
+    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    record, indicator_records, errors = _measure(
+        mesh, solution, report, config, predictions, it, wall_ms
+    )
+    history.append(record)
+    if out_dir is not None and config.write_vtk:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        eta = {r.element: r.eta for r in indicator_records}
+        write_vtk(Path(out_dir) / f"mesh_iter{it:03d}.vtk", mesh, eta)
+    return solution, indicator_records, errors
 
 
-def run_adapt_loop(config, out_dir=None):
+def run_adapt_loop(config, out_dir=None, history=None):
     """Solve/estimate/refine until max_iters or the stagnation stop.
 
     With `stop_on_stagnation` set, the loop also stops after an iteration
     whose condition estimate exceeds `cond_limit`; without it, `cond_limit`
     is not checked and the loop runs to `max_iters` whatever the estimate.
+    Returns `history` (a new list if none is given) with the records appended.
     """
+    history = [] if history is None else history
     mesh = initial_mesh(config)
     predictions = None
-    history = []
     previous_estimate = None
     rises = 0
     for it in range(config.adapt.max_iters + 1):
-        t0 = time.perf_counter()
-        solution, report = _solve_guarded(mesh, config, history)
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
-        record, indicator_records, _ = _measure(
-            mesh, solution, report, config, predictions, it, wall_ms
+        solution, indicator_records, _ = _step(
+            mesh, config, predictions, it, history, out_dir
         )
-        history.append(record)
-        _maybe_vtk(config, out_dir, it, mesh, indicator_records)
+        record = history[-1]
         if it == config.adapt.max_iters:
             break
         if config.stop_on_stagnation:
@@ -168,43 +165,35 @@ def _set_uniform_degree(mesh, q):
         el.degree = q
 
 
-def run_table2_protocol(config, out_dir=None):
+def _reframe_all(mesh, solution, config):
+    apply_directional_adaptivity(
+        mesh, solution, "all", gap=config.lambda_gap, ball_radius=config.delta_ball
+    )
+
+
+def run_table2_protocol(config, out_dir=None, history=None):
     """Uniform-degree sweep with and without cumulative frame adaptation.
 
     The standard leg keeps canonical frames while the degree rises from
     q_min to q_max; the adaptive leg re-orients every element's frame from
     the previous solve before each degree increment.  Returns the per-degree
-    table rows and the iteration records of the adaptive leg.
+    table rows and the records of the adaptive leg, appended to `history`.
     """
-    problem = config.problem
     rows = []
-    history = []
+    history = [] if history is None else history
     std_mesh = initial_mesh(config)
-    _set_uniform_degree(std_mesh, config.q_min)
     ada_mesh = initial_mesh(config)
-    _set_uniform_degree(ada_mesh, config.q_min)
     ada_solution = None
     for step, q in enumerate(range(config.q_min, config.q_max + 1)):
         _set_uniform_degree(std_mesh, q)
-        std_solution, _ = _solve_guarded(std_mesh, config, history)
-        std_abs, exact_norm = l2_errors(std_solution, problem)
+        std_solution, _ = _solve_on(std_mesh, config)
+        std_abs, exact_norm = l2_errors(std_solution, config.problem)
         if ada_solution is not None:
-            apply_directional_adaptivity(
-                ada_mesh,
-                ada_solution,
-                "all",
-                gap=config.lambda_gap,
-                ball_radius=config.delta_ball,
-            )
+            _reframe_all(ada_mesh, ada_solution, config)
         _set_uniform_degree(ada_mesh, q)
-        t0 = time.perf_counter()
-        ada_solution, ada_report = _solve_guarded(ada_mesh, config, history)
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
-        record, indicator_records, (ada_abs, _) = _measure(
-            ada_mesh, ada_solution, ada_report, config, None, step, wall_ms
+        ada_solution, _, (ada_abs, _) = _step(
+            ada_mesh, config, None, step, history, out_dir
         )
-        history.append(record)
-        _maybe_vtk(config, out_dir, step, ada_mesh, indicator_records)
         rows.append({
             "q": q,
             "dofs": _dofs(std_mesh),
@@ -217,10 +206,13 @@ def run_table2_protocol(config, out_dir=None):
     return rows, history
 
 
-def run_table3_protocol(config, out_dir=None):
-    """Repeated frame adaptation at fixed degree, for each q in the range."""
+def run_table3_protocol(config, out_dir=None, history=None):
+    """Repeated frame adaptation at fixed degree, for each q in the range.
+
+    Returns the per-degree rows and every solve's record, appended to `history`.
+    """
     rows = []
-    history = []
+    history = [] if history is None else history
     counter = 0
     for q in range(config.q_min, config.q_max + 1):
         mesh = initial_mesh(config)
@@ -229,90 +221,55 @@ def run_table3_protocol(config, out_dir=None):
         errors_scaled = []
         for pass_idx in range(config.passes + 1):
             if pass_idx > 0:
-                apply_directional_adaptivity(
-                    mesh,
-                    solution,
-                    "all",
-                    gap=config.lambda_gap,
-                    ball_radius=config.delta_ball,
-                )
-            t0 = time.perf_counter()
-            solution, report = _solve_guarded(mesh, config, history)
-            wall_ms = 1000.0 * (time.perf_counter() - t0)
-            record, indicator_records, (abs_err, exact_norm) = _measure(
-                mesh, solution, report, config, None, counter, wall_ms
+                _reframe_all(mesh, solution, config)
+            solution, _, (abs_err, exact_norm) = _step(
+                mesh, config, None, counter, history, out_dir
             )
             errors_rel.append(abs_err / exact_norm)
             errors_scaled.append(abs_err / exact_norm**2)
-            history.append(record)
-            _maybe_vtk(config, out_dir, counter, mesh, indicator_records)
             counter += 1
-        rows.append({
-            "q": q,
-            "errors_rel": errors_rel,
-            "errors_scaled": errors_scaled,
-        })
+        rows.append({"q": q, "errors_rel": errors_rel, "errors_scaled": errors_scaled})
     return rows, history
 
 
-def _calibration_cell_config(config, q, k):
-    from .config import _build
+def run_calibration(config, out_dir=None, history=None):
+    """Fixed-degree h-adaptive effectivity sweep over a (q, k) grid.
 
-    raw = {section: dict(values) for section, values in config.raw.items()}
-    raw["problem"]["k"] = repr(float(k))
-    raw["discretization"]["q0"] = str(int(q))
-    raw["adaptivity"]["protocol"] = "adapt"
-    raw["adaptivity"]["mode"] = "h_only"
-    raw["adaptivity"]["policy"] = "none"
-    return _build(raw)
-
-
-def run_calibration(config, out_dir=None):
-    """Fixed-degree h-adaptive effectivity sweep over a (q, k) grid."""
+    Every cell's records are also appended to `history`.
+    """
     cells = []
+    history = [] if history is None else history
     for q in config.calibration_q:
         for k in config.calibration_k:
-            cell_config = _calibration_cell_config(config, q, k)
+            cell_config = override(config, {
+                "problem": {"k": repr(float(k))},
+                "discretization": {"q0": str(int(q))},
+                "adaptivity": {"protocol": "adapt", "mode": "h_only", "policy": "none"},
+            })
             cell_dir = None
             if out_dir is not None:
                 cell_dir = Path(out_dir) / f"q{q}_k{k:g}"
                 cell_dir.mkdir(parents=True, exist_ok=True)
-            try:
-                records = run_adapt_loop(cell_config, out_dir=cell_dir)
-            except SingularSystemError as exc:
-                exc.partial_records = [
-                    r for cell in cells for r in cell["records"]
-                ] + list(getattr(exc, "partial_records", []))
-                raise
+            start = len(history)
+            records = run_adapt_loop(cell_config, cell_dir, history)[start:]
             if cell_dir is not None:
                 write_outputs(records, cell_dir, cell_config)
             cells.append({"q": q, "k": k, "records": records})
     return cells
 
 
-def _csv_value(x):
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
+def _csv(header, rows):
+    """CSV text: ints as written, other numbers in shortest round-trip form."""
+    lines = [header] + [
+        ",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _records_csv(records):
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            str(r.iter),
-            str(r.n_elements),
-            str(r.dofs),
-            _csv_value(r.rel_l2_error),
-            _csv_value(r.estimate),
-            _csv_value(r.eff_total),
-            _csv_value(r.eff_jump_u),
-            _csv_value(r.eff_jump_gradu),
-            _csv_value(r.eff_robin),
-            _csv_value(r.cond),
-            "0",
-        ]))
-    return "\n".join(lines) + "\n"
+    # The wall-clock column is always 0; real timings live in run.json.
+    return _csv(CSV_HEADER, (dataclasses.astuple(r)[:-1] + (0,) for r in records))
 
 
 def _environment():
@@ -353,42 +310,11 @@ def write_outputs(records, out_dir, config, tables=None, total_wall_ms=None):
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc
 
 
-def _table2_csv(rows):
-    lines = ["q,dofs,standard_rel,adaptive_rel,standard_scaled,adaptive_scaled,reduction_pct"]
-    for row in rows:
-        lines.append(",".join([
-            str(row["q"]),
-            str(row["dofs"]),
-            _csv_value(row["standard_rel"]),
-            _csv_value(row["adaptive_rel"]),
-            _csv_value(row["standard_scaled"]),
-            _csv_value(row["adaptive_scaled"]),
-            _csv_value(row["reduction_pct"]),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def _table3_csv(rows):
-    passes = max(len(row["errors_rel"]) for row in rows) if rows else 1
-    header = ["q"]
-    for i in range(passes):
-        header.append(f"rel_pass{i}")
-    for i in range(passes):
-        header.append(f"scaled_pass{i}")
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [str(row["q"])]
-        cells += [_csv_value(v) for v in row["errors_rel"]]
-        cells += [_csv_value(v) for v in row["errors_scaled"]]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def run_experiment(config, out_dir=None):
     """Run the configured protocol, writing artifacts when out_dir is given.
 
-    On a singular system the records collected so far are still flushed
-    before the error propagates.
+    On a singular system the records collected so far are still flushed,
+    and attached to the error as `partial_records`, before it propagates.
     """
     t0 = time.perf_counter()
     records = []
@@ -396,18 +322,22 @@ def run_experiment(config, out_dir=None):
     extra_csv = {}
     try:
         if config.protocol == "adapt":
-            records = run_adapt_loop(config, out_dir=out_dir)
+            run_adapt_loop(config, out_dir, records)
         elif config.protocol == "table2":
-            rows, records = run_table2_protocol(config, out_dir=out_dir)
+            rows, _ = run_table2_protocol(config, out_dir, records)
             tables = {"table2": rows}
-            extra_csv["table2.csv"] = _table2_csv(rows)
+            # The row keys, in insertion order, are the column names.
+            extra_csv["table2.csv"] = _csv(",".join(rows[0]), map(dict.values, rows))
         elif config.protocol == "table3":
-            rows, records = run_table3_protocol(config, out_dir=out_dir)
+            rows, _ = run_table3_protocol(config, out_dir, records)
             tables = {"table3": rows}
-            extra_csv["table3.csv"] = _table3_csv(rows)
+            header = ["q"] + [f"{kind}_pass{i}" for kind in ("rel", "scaled")
+                              for i in range(config.passes + 1)]
+            extra_csv["table3.csv"] = _csv(",".join(header), (
+                [row["q"], *row["errors_rel"], *row["errors_scaled"]] for row in rows
+            ))
         elif config.protocol == "calibration":
-            cells = run_calibration(config, out_dir=out_dir)
-            records = [r for cell in cells for r in cell["records"]]
+            cells = run_calibration(config, out_dir, records)
             tables = {
                 "calibration": [
                     {"q": c["q"], "k": c["k"], "iters": len(c["records"])}
@@ -417,7 +347,7 @@ def run_experiment(config, out_dir=None):
         else:
             raise ValueError(f"unknown protocol {config.protocol!r}")
     except SingularSystemError as exc:
-        records = list(getattr(exc, "partial_records", records))
+        exc.partial_records = records
         if out_dir is not None:
             write_outputs(records, out_dir, config, tables=tables)
         raise

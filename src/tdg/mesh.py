@@ -210,10 +210,6 @@ class Mesh:
     def dim(self):
         return self.domain.dim
 
-    @property
-    def n_elements(self):
-        return len(self.elements)
-
     def element_ids(self):
         return sorted(self.elements)
 

@@ -155,6 +155,19 @@ def test_facet_subset_assembly():
         assemble_system(mesh, problem, facets=interior[:1])
 
 
+def test_unknown_boundary_tag_is_rejected():
+    from dataclasses import replace
+
+    from tdg.assembly import AssemblyError
+
+    problem = _plane_problem("unit_square", (1.0, 0.0))
+    mesh = _mesh_for(problem, 2, 3)
+    facets = [replace(f, side_b="neumann") if f.is_boundary else f
+              for f in mesh.facets()]
+    with pytest.raises(AssemblyError, match="invalid boundary tag 'neumann'"):
+        assemble_system(mesh, problem, facets=facets)
+
+
 def test_assembly_is_deterministic():
     problem = _plane_problem("unit_square", (0.6, 0.8))
     mesh = _mesh_for(problem, 2, 4)

@@ -12,6 +12,7 @@ from tdg.config import (
     load_config,
     load_config_text,
     load_preset,
+    override,
     preset_names,
 )
 
@@ -181,6 +182,20 @@ def test_canonical_text_and_hash_stability():
     assert a.config_hash() != c.config_hash()
     assert "domain.n=4" in a.canonical_text()
     assert len(a.config_hash()) == 64
+
+
+def test_override_validates_like_a_file():
+    base = load_config_text("[domain]\nn = 4\n")
+    changed = override(base, {"adaptivity": {"max_iters": "2", "policy": "all"}})
+    assert (changed.adapt.max_iters, changed.adapt.policy) == (2, "all")
+    assert changed.config_hash() == load_config_text(
+        "[domain]\nn = 4\n[adaptivity]\nmax_iters = 2\npolicy = all\n"
+    ).config_hash()
+    assert base.raw["adaptivity"]["policy"] == "none"  # the input is left as it was
+    with pytest.raises(ConfigError, match=r"\[adaptivity\] policy: expected one of"):
+        override(base, {"adaptivity": {"policy": "bogus"}})
+    with pytest.raises(ConfigError, match=r"\[adaptivity\] unknown key 'budget'"):
+        override(base, {"adaptivity": {"budget": "2"}})
 
 
 def test_load_config_roundtrip(tmp_path):

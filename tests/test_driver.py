@@ -332,6 +332,45 @@ def test_run_experiment_flushes_on_singular_system(tmp_path, monkeypatch):
     assert len(lines) == 2  # header plus the one completed iteration
 
 
+PARTIAL_CASES = {
+    # protocol: (extra [adaptivity] lines, successful solves, records kept)
+    "table2": ("q_min = 2\nq_max = 4\n", 5, 2),  # two solves per degree
+    "table3": ("q_min = 3\nq_max = 3\npasses = 2\n", 2, 2),
+    "calibration": ("mode = h_only\nmax_iters = 1\nstop_on_stagnation = false\n"
+                    "calibration_q = 3\ncalibration_k = 20, 40\n", 3, 3),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PARTIAL_CASES))
+def test_run_experiment_flushes_partial_records_per_protocol(
+        tmp_path, monkeypatch, protocol):
+    extra, good_solves, kept = PARTIAL_CASES[protocol]
+    config = load_config_text(
+        "[domain]\nn = 2\n[adaptivity]\n"
+        f"protocol = {protocol}\n{extra}[output]\nwrite_vtk = false\n"
+    )
+    calls = {"n": 0}
+    real = driver._solve_on
+
+    def flaky(mesh, cfg):
+        calls["n"] += 1
+        if calls["n"] > good_solves:
+            raise SingularSystemError("synthetic breakdown")
+        return real(mesh, cfg)
+
+    monkeypatch.setattr(driver, "_solve_on", flaky)
+    with pytest.raises(SingularSystemError) as info:
+        run_experiment(config, out_dir=tmp_path)
+    partial = info.value.partial_records
+    assert len(partial) == kept
+    # Calibration keeps the records of the cells finished before the failure.
+    assert [r.iter for r in partial] == (
+        [0, 1, 0] if protocol == "calibration" else list(range(kept)))
+    text = (tmp_path / "convergence.csv").read_text()
+    assert text == _records_csv(partial)
+    assert len(text.splitlines()) == kept + 1
+
+
 def test_vtk_files_written_when_enabled(tmp_path):
     config = load_config_text(SMALL.format(iters=1, extra="").replace(
         "write_vtk = false", "write_vtk = true"))
@@ -388,6 +427,17 @@ def test_cli_happy_path_with_overrides(tmp_path, capsys):
     assert payload["config"]["adaptivity"]["max_iters"] == "1"
     assert payload["config"]["adaptivity"]["policy"] == "all"
     assert len(payload["records"]) == 2
+
+
+def test_cli_unknown_policy_uses_config_validation(tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    path.write_text(SMALL.format(iters=0, extra=""))
+    code = main(["run", str(path), "--policy", "bogus", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[adaptivity] policy" in err
+    assert "'bogus'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
