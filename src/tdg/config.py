@@ -10,8 +10,8 @@ from importlib import resources
 from .assembly import PenaltyParams
 from .directional import POLICIES
 from .hp_adapt import MODES, AdaptConfig
-from .mesh import DIRICHLET, ROBIN, DomainSpec, _DOMAINS
-from .problems import ProblemSpec
+from .mesh import BOUNDARY_SIDES, BOUNDARY_TAGS, ROBIN, DomainSpec, _DOMAINS
+from .problems import PROBLEM_KINDS, ProblemSpec
 
 
 class ConfigError(Exception):
@@ -20,7 +20,6 @@ class ConfigError(Exception):
 
 SECTIONS = ("domain", "problem", "discretization", "adaptivity", "output")
 PROTOCOLS = ("adapt", "table2", "table3", "calibration")
-PROBLEM_KINDS = ("plane_wave", "hankel_source", "singular_corner", "transmission")
 
 DEFAULTS = {
     "domain": {
@@ -67,8 +66,6 @@ DEFAULTS = {
         "write_vtk": "true",
     },
 }
-
-_BOUNDARY_SIDES = ("all", "xmin", "xmax", "ymin", "ymax", "zmin", "zmax", "reentrant")
 
 
 @dataclass
@@ -139,9 +136,9 @@ def _parse_boundary(text):
         if "=" not in chunk:
             raise ConfigError(f"[domain] boundary: expected side=tag entries, got {chunk!r}")
         side, tag = (part.strip().lower() for part in chunk.split("=", 1))
-        if side not in _BOUNDARY_SIDES:
+        if side not in BOUNDARY_SIDES:
             raise ConfigError(f"[domain] boundary: unknown side {side!r}")
-        if tag not in (ROBIN, DIRICHLET):
+        if tag not in BOUNDARY_TAGS:
             raise ConfigError(f"[domain] boundary: unknown tag {tag!r}")
         partition[side] = tag
     if "all" not in partition:

@@ -171,15 +171,16 @@ def _reframe_all(mesh, solution, config):
     )
 
 
-def run_table2_protocol(config, out_dir=None, history=None):
+def run_table2_protocol(config, out_dir=None, history=None, rows=None):
     """Uniform-degree sweep with and without cumulative frame adaptation.
 
     The standard leg keeps canonical frames while the degree rises from
     q_min to q_max; the adaptive leg re-orients every element's frame from
     the previous solve before each degree increment.  Returns the per-degree
-    table rows and the records of the adaptive leg, appended to `history`.
+    table rows and the records of the adaptive leg, appended to `rows` and
+    `history` (new lists if none are given) as each degree completes.
     """
-    rows = []
+    rows = [] if rows is None else rows
     history = [] if history is None else history
     std_mesh = initial_mesh(config)
     ada_mesh = initial_mesh(config)
@@ -206,12 +207,13 @@ def run_table2_protocol(config, out_dir=None, history=None):
     return rows, history
 
 
-def run_table3_protocol(config, out_dir=None, history=None):
+def run_table3_protocol(config, out_dir=None, history=None, rows=None):
     """Repeated frame adaptation at fixed degree, for each q in the range.
 
-    Returns the per-degree rows and every solve's record, appended to `history`.
+    Returns the per-degree rows and every solve's record, appended to `rows`
+    and `history` (new lists if none are given) as they complete.
     """
-    rows = []
+    rows = [] if rows is None else rows
     history = [] if history is None else history
     counter = 0
     for q in range(config.q_min, config.q_max + 1):
@@ -232,12 +234,14 @@ def run_table3_protocol(config, out_dir=None, history=None):
     return rows, history
 
 
-def run_calibration(config, out_dir=None, history=None):
+def run_calibration(config, out_dir=None, history=None, cells=None):
     """Fixed-degree h-adaptive effectivity sweep over a (q, k) grid.
 
-    Every cell's records are also appended to `history`.
+    Every cell's records are also appended to `history`, and each completed
+    cell to `cells`.  A cell that fails still writes the records it completed
+    to its own directory before the error propagates.
     """
-    cells = []
+    cells = [] if cells is None else cells
     history = [] if history is None else history
     for q in config.calibration_q:
         for k in config.calibration_k:
@@ -251,10 +255,12 @@ def run_calibration(config, out_dir=None, history=None):
                 cell_dir = Path(out_dir) / f"q{q}_k{k:g}"
                 cell_dir.mkdir(parents=True, exist_ok=True)
             start = len(history)
-            records = run_adapt_loop(cell_config, cell_dir, history)[start:]
-            if cell_dir is not None:
-                write_outputs(records, cell_dir, cell_config)
-            cells.append({"q": q, "k": k, "records": records})
+            try:
+                run_adapt_loop(cell_config, cell_dir, history)
+            finally:
+                if cell_dir is not None:
+                    write_outputs(history[start:], cell_dir, cell_config)
+            cells.append({"q": q, "k": k, "records": history[start:]})
     return cells
 
 
@@ -310,50 +316,56 @@ def write_outputs(records, out_dir, config, tables=None, total_wall_ms=None):
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc
 
 
+def _tables(protocol, rows):
+    """run.json's `tables` entry for the table rows or calibration cells."""
+    if protocol == "adapt":
+        return None
+    if protocol == "calibration":
+        rows = [{"q": c["q"], "k": c["k"], "iters": len(c["records"])} for c in rows]
+    return {protocol: rows}
+
+
 def run_experiment(config, out_dir=None):
     """Run the configured protocol, writing artifacts when out_dir is given.
 
-    On a singular system the records collected so far are still flushed,
-    and attached to the error as `partial_records`, before it propagates.
+    On a singular system the records and table rows collected so far are
+    still flushed to run.json, and the records attached to the error as
+    `partial_records`, before it propagates.
     """
     t0 = time.perf_counter()
     records = []
-    tables = None
-    extra_csv = {}
+    rows = []
     try:
         if config.protocol == "adapt":
             run_adapt_loop(config, out_dir, records)
         elif config.protocol == "table2":
-            rows, _ = run_table2_protocol(config, out_dir, records)
-            tables = {"table2": rows}
-            # The row keys, in insertion order, are the column names.
-            extra_csv["table2.csv"] = _csv(",".join(rows[0]), map(dict.values, rows))
+            run_table2_protocol(config, out_dir, records, rows)
         elif config.protocol == "table3":
-            rows, _ = run_table3_protocol(config, out_dir, records)
-            tables = {"table3": rows}
-            header = ["q"] + [f"{kind}_pass{i}" for kind in ("rel", "scaled")
-                              for i in range(config.passes + 1)]
-            extra_csv["table3.csv"] = _csv(",".join(header), (
-                [row["q"], *row["errors_rel"], *row["errors_scaled"]] for row in rows
-            ))
+            run_table3_protocol(config, out_dir, records, rows)
         elif config.protocol == "calibration":
-            cells = run_calibration(config, out_dir, records)
-            tables = {
-                "calibration": [
-                    {"q": c["q"], "k": c["k"], "iters": len(c["records"])}
-                    for c in cells
-                ]
-            }
+            run_calibration(config, out_dir, records, rows)
         else:
             raise ValueError(f"unknown protocol {config.protocol!r}")
     except SingularSystemError as exc:
         exc.partial_records = records
         if out_dir is not None:
-            write_outputs(records, out_dir, config, tables=tables)
+            write_outputs(records, out_dir, config, _tables(config.protocol, rows))
         raise
-    if out_dir is not None:
-        total = 1000.0 * (time.perf_counter() - t0)
-        write_outputs(records, out_dir, config, tables=tables, total_wall_ms=total)
-        for name, text in extra_csv.items():
-            (Path(out_dir) / name).write_text(text, newline="\n")
+    if out_dir is None:
+        return records
+    total = 1000.0 * (time.perf_counter() - t0)
+    write_outputs(records, out_dir, config, tables=_tables(config.protocol, rows),
+                  total_wall_ms=total)
+    if config.protocol == "table2":
+        # The row keys, in insertion order, are the column names.
+        text = _csv(",".join(rows[0]), map(dict.values, rows))
+    elif config.protocol == "table3":
+        header = ["q"] + [f"{kind}_pass{i}" for kind in ("rel", "scaled")
+                          for i in range(config.passes + 1)]
+        text = _csv(",".join(header), (
+            [row["q"], *row["errors_rel"], *row["errors_scaled"]] for row in rows
+        ))
+    else:
+        return records
+    (Path(out_dir) / f"{config.protocol}.csv").write_text(text, newline="\n")
     return records

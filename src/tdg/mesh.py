@@ -7,6 +7,7 @@ geometry is derived from them.  Refinement keeps the mesh 1-irregular:
 face-adjacent leaves differ by at most one level, enforced by closure.
 """
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from .basis import DirectionFrame, canonical_frame
 
 ROBIN = "robin"
 DIRICHLET = "dirichlet"
-_TAGS = (ROBIN, DIRICHLET)
+BOUNDARY_TAGS = (ROBIN, DIRICHLET)
 
 _DOMAINS = {
     "unit_square": (2, (0.0, 0.0), 1.0),
@@ -25,6 +26,7 @@ _DOMAINS = {
 }
 
 _SIDE_NAMES = ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
+BOUNDARY_SIDES = ("all", *_SIDE_NAMES, "reentrant")
 
 
 class MeshError(Exception):
@@ -47,11 +49,10 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in _DOMAINS:
             raise MeshError(f"unknown domain kind {self.kind!r}")
-        allowed = {"all", "reentrant", *_SIDE_NAMES}
         for key, tag in self.boundary_partition.items():
-            if key not in allowed:
+            if key not in BOUNDARY_SIDES:
                 raise MeshError(f"unknown boundary side {key!r}")
-            if tag not in _TAGS:
+            if tag not in BOUNDARY_TAGS:
                 raise MeshError(f"boundary tag must be robin or dirichlet, got {tag!r}")
 
     @property
@@ -195,7 +196,13 @@ class Facet:
 
 
 class Mesh:
-    """Leaf-element container; immutable between refinement calls."""
+    """Leaf-element container.
+
+    Refinement returns a new mesh, so the topology (ids, cells, facets) of
+    a mesh never changes.  Element frames, degrees and direction overrides
+    are mutated in place: by directional adaptivity, by
+    `enforce_degree_compatibility` and by the table protocols.
+    """
 
     def __init__(self, domain, n0, elements, index, next_id):
         self.domain = domain
@@ -215,14 +222,10 @@ class Mesh:
 
     def _copy(self):
         elements = {eid: replace(el) for eid, el in self.elements.items()}
-        new = Mesh(self.domain, self.n0, elements, dict(self._index), self.next_id)
-        return new
-
-    def _step(self, level):
-        return self.domain.extent / self.n0 / (1 << level)
+        return Mesh(self.domain, self.n0, elements, dict(self._index), self.next_id)
 
     def _cell_box(self, level, cell):
-        step = self._step(level)
+        step = self.domain.extent / self.n0 / (1 << level)
         lo = self.domain.origin + step * np.asarray(cell, dtype=float)
         return lo, lo + step
 
@@ -234,34 +237,40 @@ class Mesh:
             return not (i >= self.n0 // 2 and j < self.n0 // 2)
         return True
 
-    def _cell_in_domain(self, level, cell):
-        limit = self.n0 * (1 << level)
-        if any(c < 0 or c >= limit for c in cell):
-            return False
-        return self._root_in_domain(tuple(c >> level for c in cell))
+    def _add_leaf(self, level, cell, k, degree, frame, directions_override):
+        """Create, index and number the leaf element at (level, cell)."""
+        lo, hi = self._cell_box(level, cell)
+        el = Element(self.next_id, level, cell, lo, hi, k, degree, frame,
+                     directions_override)
+        self.elements[el.id] = el
+        self._index[(level, cell)] = el.id
+        self.next_id += 1
+        return el
 
-    def _boundary_side(self, level, cell, axis, direction):
-        limit = self.n0 * (1 << level)
-        at_outer_min = direction < 0 and cell[axis] == 0
-        at_outer_max = direction > 0 and cell[axis] == limit - 1
-        if at_outer_min:
-            return _SIDE_NAMES[2 * axis]
-        if at_outer_max:
-            return _SIDE_NAMES[2 * axis + 1]
-        return "reentrant"
+    def _neighbour(self, level, cell, axis, direction):
+        """What lies across one face of the cell (level, cell).
+
+        ("boundary", side name) outside the domain, ("leaf", id) for a leaf
+        at the same level, ("coarser", id) for the leaf one level up that
+        covers the face, or ("finer", None) when smaller leaves cover it.
+        """
+        ncell = tuple(c + direction * (ax == axis) for ax, c in enumerate(cell))
+        if not 0 <= ncell[axis] < self.n0 << level:
+            return "boundary", _SIDE_NAMES[2 * axis + (direction > 0)]
+        if not self._root_in_domain(tuple(c >> level for c in ncell)):
+            return "boundary", "reentrant"
+        nid = self._index.get((level, ncell))
+        if nid is not None:
+            return "leaf", nid
+        pid = self._index.get((level - 1, tuple(c >> 1 for c in ncell)))
+        if pid is not None:
+            return "coarser", pid
+        return "finer", None
 
     def facets(self):
         if self._facets is None:
             self._facets = skeleton_facets(self)
         return self._facets
-
-    def facets_by_element(self):
-        by_el = {eid: [] for eid in self.elements}
-        for f in self.facets():
-            by_el[f.side_a].append(f)
-            if not f.is_boundary:
-                by_el[f.side_b].append(f)
-        return by_el
 
 
 def build_initial_mesh(domain, n, wavenumbers, q0):
@@ -274,36 +283,15 @@ def build_initial_mesh(domain, n, wavenumbers, q0):
         raise MeshError(f"effective degree must be >= 1, got {q0}")
     wavenumbers.validate(domain, n)
 
-    dim = domain.dim
     mesh = Mesh(domain, int(n), {}, {}, 0)
-    frame = canonical_frame(dim)
-    cells = []
-    ranges = [range(n)] * dim
-    if dim == 2:
-        cells = [(i, j) for j in ranges[1] for i in ranges[0]]
-    else:
-        cells = [(i, j, kk) for kk in ranges[2] for j in ranges[1] for i in ranges[0]]
-    eid = 0
-    for cell in cells:
-        if not mesh._root_in_domain(cell):
-            continue
-        lo, hi = mesh._cell_box(0, cell)
-        centroid = 0.5 * (lo + hi)
-        el = Element(
-            id=eid,
-            level=0,
-            cell=cell,
-            lo=lo,
-            hi=hi,
-            k=float(wavenumbers(centroid)),
-            degree=int(q0),
-            frame=frame,
-            directions_override=None,
-        )
-        mesh.elements[eid] = el
-        mesh._index[(0, cell)] = eid
-        eid += 1
-    mesh.next_id = eid
+    frame = canonical_frame(domain.dim)
+    # Root cells in first-axis-fastest order.
+    for reversed_cell in itertools.product(range(n), repeat=domain.dim):
+        cell = reversed_cell[::-1]
+        if mesh._root_in_domain(cell):
+            lo, hi = mesh._cell_box(0, cell)
+            k = float(wavenumbers(0.5 * (lo + hi)))
+            mesh._add_leaf(0, cell, k, int(q0), frame, None)
     if not mesh.elements:
         raise MeshError("empty mesh")
     return mesh
@@ -311,46 +299,22 @@ def build_initial_mesh(domain, n, wavenumbers, q0):
 
 def _split(mesh, eid):
     el = mesh.elements[eid]
-    level, cell, dim = el.level, el.cell, el.dim
     # 1-irregular closure: any coarser face neighbor must split first
-    for axis in range(dim):
-        for direction in (-1, 1):
-            ncell = tuple(
-                c + (direction if ax == axis else 0) for ax, c in enumerate(cell)
-            )
-            if not mesh._cell_in_domain(level, ncell):
-                continue
-            if (level, ncell) in mesh._index:
-                continue
-            if level >= 1:
-                parent = tuple(c >> 1 for c in ncell)
-                pid = mesh._index.get((level - 1, parent))
-                if pid is not None:
-                    _split(mesh, pid)
-    children = []
-    for child_index in range(1 << dim):
-        offset = tuple((child_index >> ax) & 1 for ax in range(dim))
-        ccell = tuple(2 * c + o for c, o in zip(cell, offset))
-        lo, hi = mesh._cell_box(level + 1, ccell)
-        cid = mesh.next_id
-        mesh.next_id += 1
-        child = Element(
-            id=cid,
-            level=level + 1,
-            cell=ccell,
-            lo=lo,
-            hi=hi,
-            k=el.k,
-            degree=el.degree,
-            frame=el.frame,
-            directions_override=el.directions_override,
-        )
-        mesh.elements[cid] = child
-        mesh._index[(level + 1, ccell)] = cid
-        children.append(cid)
+    for axis, direction in itertools.product(range(el.dim), (-1, 1)):
+        kind, nid = mesh._neighbour(el.level, el.cell, axis, direction)
+        if kind == "coarser":
+            _split(mesh, nid)
+    # Children in first-axis-fastest order.
+    children = tuple(
+        mesh._add_leaf(
+            el.level + 1, tuple(2 * c + o for c, o in zip(el.cell, offset[::-1])),
+            el.k, el.degree, el.frame, el.directions_override,
+        ).id
+        for offset in itertools.product((0, 1), repeat=el.dim)
+    )
     del mesh.elements[eid]
-    del mesh._index[(level, cell)]
-    mesh.last_refined[eid] = tuple(children)
+    del mesh._index[(el.level, el.cell)]
+    mesh.last_refined[eid] = children
 
 
 def refine_elements(mesh, marked):
@@ -378,43 +342,19 @@ def skeleton_facets(mesh):
     direction.  For an equal-level pair the lower id owns the facet.
     """
     facets = []
-    index = mesh._index
     for eid in mesh.element_ids():
         el = mesh.elements[eid]
-        level, cell, dim = el.level, el.cell, el.dim
-        for axis in range(dim):
-            for direction in (-1, 1):
-                ncell = tuple(
-                    c + (direction if ax == axis else 0) for ax, c in enumerate(cell)
-                )
-                normal = np.zeros(dim)
-                normal[axis] = float(direction)
-                f_lo = el.lo.copy()
-                f_hi = el.hi.copy()
-                coord = el.hi[axis] if direction > 0 else el.lo[axis]
-                f_lo[axis] = coord
-                f_hi[axis] = coord
-                if not mesh._cell_in_domain(level, ncell):
-                    side = mesh._boundary_side(level, cell, axis, direction)
-                    tag = mesh.domain.tag_for_side(side)
-                    facets.append(
-                        Facet(axis, eid, tag, normal, f_lo, f_hi, level)
-                    )
-                    continue
-                nid = index.get((level, ncell))
-                if nid is not None:
-                    if eid < nid:
-                        facets.append(
-                            Facet(axis, eid, nid, normal, f_lo, f_hi, level)
-                        )
-                    continue
-                if level >= 1:
-                    parent = tuple(c >> 1 for c in ncell)
-                    pid = index.get((level - 1, parent))
-                    if pid is not None:
-                        facets.append(
-                            Facet(axis, eid, pid, normal, f_lo, f_hi, level)
-                        )
-                        continue
-                # finer neighbors cover this face and emit the sub-facets
+        for axis, direction in itertools.product(range(el.dim), (-1, 1)):
+            kind, other = mesh._neighbour(el.level, el.cell, axis, direction)
+            # finer neighbors emit the sub-facets; the lower id owns a pair
+            if kind == "finer" or (kind == "leaf" and other < eid):
+                continue
+            if kind == "boundary":
+                other = mesh.domain.tag_for_side(other)
+            normal = np.zeros(el.dim)
+            normal[axis] = float(direction)
+            f_lo = el.lo.copy()
+            f_hi = el.hi.copy()
+            f_lo[axis] = f_hi[axis] = el.hi[axis] if direction > 0 else el.lo[axis]
+            facets.append(Facet(axis, eid, other, normal, f_lo, f_hi, el.level))
     return facets

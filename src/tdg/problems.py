@@ -26,6 +26,7 @@ from .quadrature import volume_rule
 from .special import bessel_j, hankel1
 
 HANKEL_SOURCE = np.array([-0.25, 0.0])
+PROBLEM_KINDS = ("plane_wave", "hankel_source", "singular_corner", "transmission")
 
 
 class ProblemError(Exception):
@@ -55,8 +56,7 @@ class ProblemSpec:
     impedance_sign: float = 1.0
 
     def __post_init__(self):
-        kinds = ("hankel_source", "singular_corner", "transmission", "plane_wave")
-        if self.kind not in kinds:
+        if self.kind not in PROBLEM_KINDS:
             raise ProblemError(f"unknown problem kind {self.kind!r}")
         if self.kind == "transmission":
             for name in ("omega", "index_below", "index_above", "incidence_deg"):

@@ -314,18 +314,23 @@ write_vtk = false
     assert payload["total_wall_ms"] > 0.0
 
 
-def test_run_experiment_flushes_on_singular_system(tmp_path, monkeypatch):
-    config = _config(iters=3)
+def _fail_after(monkeypatch, good_solves):
+    """Make driver._solve_on raise SingularSystemError after `good_solves` calls."""
     calls = {"n": 0}
     real = driver._solve_on
 
     def flaky(mesh, cfg):
         calls["n"] += 1
-        if calls["n"] >= 2:
+        if calls["n"] > good_solves:
             raise SingularSystemError("synthetic breakdown")
         return real(mesh, cfg)
 
     monkeypatch.setattr(driver, "_solve_on", flaky)
+
+
+def test_run_experiment_flushes_on_singular_system(tmp_path, monkeypatch):
+    config = _config(iters=3)
+    _fail_after(monkeypatch, 1)
     with pytest.raises(SingularSystemError):
         run_experiment(config, out_dir=tmp_path)
     lines = (tmp_path / "convergence.csv").read_text().splitlines()
@@ -341,26 +346,21 @@ PARTIAL_CASES = {
 }
 
 
-@pytest.mark.parametrize("protocol", sorted(PARTIAL_CASES))
-def test_run_experiment_flushes_partial_records_per_protocol(
-        tmp_path, monkeypatch, protocol):
-    extra, good_solves, kept = PARTIAL_CASES[protocol]
-    config = load_config_text(
+def _partial_config(protocol):
+    extra = PARTIAL_CASES[protocol][0]
+    return load_config_text(
         "[domain]\nn = 2\n[adaptivity]\n"
         f"protocol = {protocol}\n{extra}[output]\nwrite_vtk = false\n"
     )
-    calls = {"n": 0}
-    real = driver._solve_on
 
-    def flaky(mesh, cfg):
-        calls["n"] += 1
-        if calls["n"] > good_solves:
-            raise SingularSystemError("synthetic breakdown")
-        return real(mesh, cfg)
 
-    monkeypatch.setattr(driver, "_solve_on", flaky)
+@pytest.mark.parametrize("protocol", sorted(PARTIAL_CASES))
+def test_run_experiment_flushes_partial_records_per_protocol(
+        tmp_path, monkeypatch, protocol):
+    _, good_solves, kept = PARTIAL_CASES[protocol]
+    _fail_after(monkeypatch, good_solves)
     with pytest.raises(SingularSystemError) as info:
-        run_experiment(config, out_dir=tmp_path)
+        run_experiment(_partial_config(protocol), out_dir=tmp_path)
     partial = info.value.partial_records
     assert len(partial) == kept
     # Calibration keeps the records of the cells finished before the failure.
@@ -369,6 +369,36 @@ def test_run_experiment_flushes_partial_records_per_protocol(
     text = (tmp_path / "convergence.csv").read_text()
     assert text == _records_csv(partial)
     assert len(text.splitlines()) == kept + 1
+
+
+def test_failing_calibration_cell_writes_its_completed_records(tmp_path, monkeypatch):
+    # Two cells of two solves each; the fourth solve (second cell, iter 1) fails.
+    _fail_after(monkeypatch, 3)
+    with pytest.raises(SingularSystemError):
+        run_experiment(_partial_config("calibration"), out_dir=tmp_path)
+    top = (tmp_path / "convergence.csv").read_bytes().splitlines(keepends=True)
+    assert len(top) == 4  # header, q3_k20 iters 0 and 1, q3_k40 iter 0
+    cell = tmp_path / "q3_k40"
+    assert (cell / "convergence.csv").read_bytes() == top[0] + top[3]
+    assert len(json.loads((cell / "run.json").read_text())["records"]) == 1
+    assert (tmp_path / "q3_k20" / "convergence.csv").read_bytes() == b"".join(top[:3])
+
+
+@pytest.mark.parametrize("protocol", ["table2", "calibration"])
+def test_failed_table_run_keeps_completed_tables(tmp_path, monkeypatch, protocol):
+    config = _partial_config(protocol)
+    if protocol == "table2":
+        rows, _ = run_table2_protocol(config)
+        # Solves 1-4 finish degrees 2 and 3; degree 4's adaptive solve fails.
+        expected = json.loads(json.dumps(rows[:2]))
+    else:
+        # Only the q3_k20 cell completes before the failure.
+        expected = [{"q": 3, "k": 20.0, "iters": 2}]
+    _fail_after(monkeypatch, PARTIAL_CASES[protocol][1])
+    with pytest.raises(SingularSystemError):
+        run_experiment(config, out_dir=tmp_path)
+    payload = json.loads((tmp_path / "run.json").read_text())
+    assert payload["tables"] == {protocol: expected}
 
 
 def test_vtk_files_written_when_enabled(tmp_path):

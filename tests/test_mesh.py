@@ -13,6 +13,7 @@ from tdg.mesh import (
     MeshError,
     build_initial_mesh,
     refine_elements,
+    skeleton_facets,
 )
 from tdg.problems import ConstantWavenumber
 
@@ -168,7 +169,11 @@ def test_closure_keeps_one_level_difference():
 
 def test_skeleton_partitions_interface_area():
     mesh = refine_elements(_mesh(n=2), [0, 3])
-    by_el = mesh.facets_by_element()
+    by_el = {eid: [] for eid in mesh.elements}
+    for f in mesh.facets():
+        by_el[f.side_a].append(f)
+        if not f.is_boundary:
+            by_el[f.side_b].append(f)
     for eid, el in mesh.elements.items():
         per_axis = {}
         for f in by_el[eid]:
@@ -211,3 +216,74 @@ def test_3d_refinement_counts_and_closure():
             la = deeper.elements[f.side_a].level
             lb = deeper.elements[f.side_b].level
             assert abs(la - lb) <= 1
+
+
+def _reference_skeleton(mesh):
+    """Skeleton facets by brute-force geometry on the leaf boxes alone.
+
+    Every boundary face, and every pair of leaves sharing a face of positive
+    area, once: on the finer leaf's face, the lower id owning equal-level
+    pairs; ordered by (owner id, axis, direction).
+    """
+    domain, dim = mesh.domain, mesh.dim
+    boxes = {eid: (el.lo.tolist(), el.hi.tolist()) for eid, el in mesh.elements.items()}
+    sides = ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
+    facets = []
+    for a, (alo, ahi) in sorted(boxes.items()):
+        size = ahi[0] - alo[0]
+        level = round(np.log2(domain.extent / mesh.n0 / size))
+        for axis in range(dim):
+            for direction in (-1, 1):
+                face = ahi[axis] if direction > 0 else alo[axis]
+                across = [
+                    b for b, (blo, bhi) in boxes.items()
+                    if (blo[axis] if direction > 0 else bhi[axis]) == face
+                    and all(min(ahi[i], bhi[i]) > max(alo[i], blo[i])
+                            for i in range(dim) if i != axis)
+                ]
+                sizes = {boxes[b][1][0] - boxes[b][0][0] for b in across}
+                if not across:
+                    if face == domain.origin[axis]:
+                        side = sides[2 * axis]
+                    elif face == domain.origin[axis] + domain.extent:
+                        side = sides[2 * axis + 1]
+                    else:
+                        side = "reentrant"
+                    other = domain.tag_for_side(side)
+                elif min(sizes) < size:
+                    continue  # the finer leaves across own these facets
+                else:
+                    (other,) = across
+                    if sizes == {size} and other < a:
+                        continue
+                normal = tuple(float(direction) if i == axis else 0.0 for i in range(dim))
+                lo = tuple(face if i == axis else alo[i] for i in range(dim))
+                hi = tuple(face if i == axis else ahi[i] for i in range(dim))
+                facets.append((axis, a, other, normal, lo, hi, level))
+    return facets
+
+
+SKELETON_DOMAINS = {
+    "l_shape": (4, {"all": ROBIN, "reentrant": DIRICHLET, "ymax": DIRICHLET}),
+    "unit_cube": (2, {"all": ROBIN, "xmax": DIRICHLET, "zmin": DIRICHLET}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SKELETON_DOMAINS))
+@settings(max_examples=15, deadline=None)
+@given(steps=st.lists(
+    st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=3),
+    min_size=0, max_size=4,
+))
+def test_skeleton_matches_geometric_reference(kind, steps):
+    n, boundary = SKELETON_DOMAINS[kind]
+    mesh = _mesh(kind=kind, n=n, q0=2, boundary=boundary)
+    for picks in steps:
+        ids = mesh.element_ids()
+        mesh = refine_elements(mesh, [ids[p % len(ids)] for p in picks])
+    facets = [
+        (f.axis, f.side_a, f.side_b, tuple(f.normal.tolist()),
+         tuple(f.lo.tolist()), tuple(f.hi.tolist()), f.level)
+        for f in skeleton_facets(mesh)
+    ]
+    assert facets == _reference_skeleton(mesh)
