@@ -15,13 +15,19 @@ side mirrors the boundary terms so the scheme is consistent.  On a
 material-interface facet the coefficient wavenumber is the shared
 frequency supplied by the problem.
 
-Facet rules for the whole skeleton come from one
-`quadrature.skeleton_rules` call per assembly and are dropped with it.
-Facet traces and their normal derivatives come from
-`basis.eval_basis_derivative`, which never forms the full gradient.
-Element blocks are kept in a dict keyed by (test id, trial id) and
-flattened to CSR on demand: the COO indices of all blocks come from a
-few np.repeat calls over the sorted keys, each block row-major.
+The skeleton is walked in the batches of `quadrature.skeleton_batches`.
+On an interior facet both traces are plane waves and the normal
+derivative of a wave is its value times i k d.n, so every flux term is a
+Gram block G_tr = int_F conj(phi_t) phi_r of a side pair times a
+coefficient outer product; the four blocks come in closed form from
+`quadrature.box_gram`, with no quadrature points.  Boundary data is no
+plane wave, so boundary facets stay on Gauss quadrature: one
+`boundary_data` call and one batched trace evaluation
+(`basis.eval_traces`) per batch, then the same coefficient products on
+the quadrature Gram block.  Element blocks are kept in a dict keyed by
+(test id, trial id) and flattened to CSR on demand: the COO indices of
+all blocks come from a few np.repeat calls over the sorted keys, each
+block row-major.
 """
 
 from dataclasses import dataclass, field
@@ -29,9 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import eval_basis_derivative
+from .basis import WaveTable, eval_traces
 from .mesh import DIRICHLET, ROBIN
-from .quadrature import skeleton_rules
+from .quadrature import box_gram, skeleton_batches
 
 
 class AssemblyError(Exception):
@@ -74,6 +80,76 @@ class GlobalSystem:
         return self._csr
 
 
+def _add_blocks(blocks, test_ids, trial_ids, mats):
+    """Add mats[f] (F, p_t, p_r) to blocks[(test_ids[f], trial_ids[f])].
+
+    A new block is a copy, so no block keeps a whole batch array alive.
+    """
+    for key, mat in zip(zip(test_ids.tolist(), trial_ids.tolist()), mats):
+        block = blocks.get(key)
+        if block is None:
+            blocks[key] = mat.copy()
+        else:
+            block += mat
+
+
+def _interior_blocks(batch, waves, problem, params):
+    """(test ids, trial ids, blocks (F, p_t, p_r)) of the four side pairs."""
+    kd_a, c_a, k_a = waves.take(batch.side_a, batch.p_a)
+    kd_b, c_b, k_b = waves.take(batch.side_b, batch.p_b)
+    pairs = list(zip(k_a.tolist(), k_b.tolist()))
+    k_f = {pair: problem.facet_wavenumber(*pair) for pair in set(pairs)}
+    ik = 1j * np.array([k_f[pair] for pair in pairs])[:, None, None]
+    gram_ab = box_gram(batch.lo, batch.hi, kd_a, c_a, kd_b, c_b)
+    grams = {
+        (0, 0): box_gram(batch.lo, batch.hi, kd_a, c_a, kd_a, c_a),
+        (0, 1): gram_ab,
+        (1, 0): gram_ab.conj().transpose(0, 2, 1),
+        (1, 1): box_gram(batch.lo, batch.hi, kd_b, c_b, kd_b, c_b),
+    }
+    normal = batch.normal[:, :, None]
+    sides = (
+        (batch.side_a, 1j * (kd_a @ normal)[:, :, 0], 1.0),
+        (batch.side_b, 1j * (kd_b @ normal)[:, :, 0], -1.0),
+    )
+    alpha, beta = params.alpha, params.beta
+    for t, (test_ids, dn_t, s_t) in enumerate(sides):
+        dn_t = dn_t.conj()[:, :, None]
+        for r, (trial_ids, dn_r, s_r) in enumerate(sides):
+            dn_r = dn_r[:, None, :]
+            flux = dn_t * (0.5 * s_t - (beta / ik) * s_r * s_t * dn_r) + (
+                -0.5 * s_t * dn_r + alpha * ik * s_r * s_t
+            )
+            yield test_ids, trial_ids, grams[t, r] * flux
+
+
+def _boundary_blocks(batch, waves, problem, params):
+    """(blocks (F, p, p), loads (F, p)) of boundary facets, by quadrature."""
+    tag = batch.side_b
+    if tag not in (ROBIN, DIRICHLET):
+        raise AssemblyError(f"facet carries invalid boundary tag {tag!r}")
+    points, w = batch.rule()
+    # hankel1 and jv slow down right after a zgemm (tdg.basis): the data
+    # comes first, and a matrix-vector product ends the batch.
+    gdata = problem.boundary_data(tag, points.reshape(-1, points.shape[2]), batch.normal[0])
+    kd, centroids, k = waves.take(batch.side_a, batch.p_a)
+    values, dn = eval_traces(kd, centroids, points, batch.normal)
+    vh = values.conj().transpose(0, 2, 1)
+    gram = vh @ (w[:, :, None] * values)
+    loads = (vh @ (w * gdata.reshape(w.shape))[:, :, None])[:, :, 0]
+    k = k[:, None]
+    dc = dn.conj()
+    if tag == ROBIN:
+        ikt = 1j * k * problem.impedance_sign
+        delta = params.delta
+        flux = (1.0 - delta) * (dc[:, :, None] + ikt[:, :, None]) - delta * (
+            (1.0 / ikt)[:, :, None] * dc[:, :, None] * dn[:, None, :] + dn[:, None, :]
+        )
+        return gram * flux, loads * ((1.0 - delta) - (delta / ikt) * dc)
+    ika = 1j * k * params.alpha
+    return gram * (ika[:, :, None] - dn[:, None, :]), loads * (ika - dc)
+
+
 def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
     """Assemble the TDG system for the mesh and problem.
 
@@ -92,68 +168,18 @@ def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
     dim = offset
     rhs = np.zeros(dim, dtype=complex)
     blocks = {}
-
-    def add(test_id, trial_id, mat):
-        key = (test_id, trial_id)
-        if key in blocks:
-            blocks[key] += mat
-        else:
-            blocks[key] = mat
-
-    alpha, beta, delta = params.alpha, params.beta, params.delta
-    vtheta = problem.impedance_sign
-
-    for facet, rule in zip(facets, skeleton_rules(mesh, facets)):
-        el_a = mesh.elements[facet.side_a]
-        normal = facet.normal
-        w = rule.weights
-        if facet.is_boundary:
-            tag = facet.side_b
-            if tag not in (ROBIN, DIRICHLET):
-                raise AssemblyError(f"facet carries invalid boundary tag {tag!r}")
-            k = el_a.k
-            values, dnorm = eval_basis_derivative(el_a, rule.points, normal)
-            vc, gc = values.conj(), dnorm.conj()
-            wv = w[:, None] * values
-            wg = w[:, None] * dnorm
-            gdata = problem.boundary_data(tag, rule.points, normal)
-            if tag == ROBIN:
-                ikt = 1j * k * vtheta
-                mat = (1.0 - delta) * (gc.T @ wv + ikt * (vc.T @ wv)) - delta * (
-                    (1.0 / ikt) * (gc.T @ wg) + vc.T @ wg
-                )
-                vec = (1.0 - delta) * (vc.T @ (w * gdata)) - (delta / ikt) * (
-                    gc.T @ (w * gdata)
-                )
-            else:
-                ika = 1j * k * alpha
-                mat = -(vc.T @ wg) + ika * (vc.T @ wv)
-                vec = ika * (vc.T @ (w * gdata)) - gc.T @ (w * gdata)
-            add(facet.side_a, facet.side_a, mat)
-            r0, r1 = dof_map[facet.side_a]
-            rhs[r0:r1] += vec
+    waves = WaveTable(mesh.elements)
+    for batch in skeleton_batches(mesh, facets):
+        if not batch.is_boundary:
+            for test_ids, trial_ids, mats in _interior_blocks(batch, waves, problem, params):
+                _add_blocks(blocks, test_ids, trial_ids, mats)
             continue
-
-        el_b = mesh.elements[facet.side_b]
-        k_f = problem.facet_wavenumber(el_a.k, el_b.k)
-        va, ga = eval_basis_derivative(el_a, rule.points, normal)
-        vb, gb = eval_basis_derivative(el_b, rule.points, normal)
-        ik = 1j * k_f
-        sides = (
-            (facet.side_a, va, ga, 1.0),
-            (facet.side_b, vb, gb, -1.0),
-        )
-        for test_id, vt, gt, s_t in sides:
-            vtc, gtc = vt.conj().T, gt.conj().T
-            for trial_id, vr, gr, s_r in sides:
-                wvr = w[:, None] * vr
-                wgr = w[:, None] * gr
-                mat = gtc @ (0.5 * s_t * wvr - (beta / ik) * s_r * s_t * wgr)
-                mat += vtc @ (-0.5 * s_t * wgr + alpha * ik * s_r * s_t * wvr)
-                add(test_id, trial_id, mat)
+        mats, loads = _boundary_blocks(batch, waves, problem, params)
+        _add_blocks(blocks, batch.side_a, batch.side_a, mats)
+        first = np.array([dof_map[eid][0] for eid in batch.side_a])
+        np.add.at(rhs, first[:, None] + np.arange(loads.shape[1]), loads)
 
     for eid in mesh.element_ids():
         if (eid, eid) not in blocks:
             raise AssemblyError(f"element {eid} has no facet contributions")
     return GlobalSystem(blocks=blocks, rhs=rhs, dof_map=dof_map, dim=dim)
-

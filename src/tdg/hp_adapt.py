@@ -75,15 +75,12 @@ def decide_and_refine(mesh, marks, records, config, plan=None):
     """
     by_id = {r.element: r for r in records}
     h_set, p_set = plan if plan is not None else plan_refinement(marks, records, config)
-    work = mesh._copy()
-    for eid in sorted(p_set):
-        work.elements[eid].degree += 1
-    new_mesh = refine_elements(work, h_set)
+    new_mesh = refine_elements(mesh, h_set, raise_degree=p_set)
     n_children = 1 << mesh.dim
     predictions = {}
     for parent, children in new_mesh.last_refined.items():
         eta = by_id[parent].eta
-        q_parent = work.elements[parent].degree
+        q_parent = mesh.elements[parent].degree + (parent in p_set)
         pred_sq = (1.0 / n_children) * config.gamma_h * 0.5 ** (2 * q_parent) * eta ** 2
         for cid in children:
             predictions[cid] = math.sqrt(pred_sq)

@@ -317,15 +317,19 @@ def _split(mesh, eid):
     mesh.last_refined[eid] = children
 
 
-def refine_elements(mesh, marked):
+def refine_elements(mesh, marked, raise_degree=()):
     """Split the marked leaves (plus closure) into 2^dim children each.
 
     Returns a new mesh; surviving elements keep their ids and children
     get fresh dense ids in deterministic order.  The refinement map for
-    this call, including closure splits, is in `new.last_refined`.
+    this call, including closure splits, is in `new.last_refined`.  The
+    elements listed in `raise_degree` get one degree more on the new mesh
+    before any split, so children of such elements inherit it.
     """
     new = mesh._copy()
     new.last_refined = {}
+    for eid in raise_degree:
+        new.elements[eid].degree += 1
     for eid in sorted(set(marked)):
         if eid in new.last_refined:
             continue

@@ -1,13 +1,25 @@
-"""Gauss-Legendre quadrature on reference intervals, facets and cells.
+"""Gauss-Legendre quadrature, the skeleton grouping, and closed-form plane-wave Grams.
 
 Nodes are computed by Newton iteration on the Legendre polynomials from
 Chebyshev initial guesses and cached per point count.  Facet and volume
-rules are tensor products mapped onto axis-aligned geometry, all facets of
-a skeleton pass at once (facet_rules) with one facet's arithmetic.  The count
+rules are tensor products mapped onto axis-aligned geometry.  The count
 per direction is n = q + ceil(0.7*k*h) + 12: products of two plane
 waves oscillate with phase up to c = k*h across the region, and n-point
 Gauss-Legendre resolves e^{ict} to 1e-12 only once n exceeds roughly
 0.68*c + 10 (measured), after which the error drops superexponentially.
+
+Every skeleton pass (assembly and estimator) walks the same grouping,
+skeleton_batches: facets sharing a point count, normal axis and side wave
+counts, and on the boundary a tag and a normal, form one FacetBatch, cut
+to at most BATCH_VALUES complex values wide.  A batch's rules come from
+one tensor construction with each facet's own arithmetic, so they equal
+facet_rule point for point.
+
+A product of two plane waves integrates in closed form over an
+axis-aligned box: box_gram, a phase times one L sinc(a L / 2) factor per
+axis of nonzero extent (Huttunen, Monk & Kaipio, J. Comput. Phys. 182,
+2002; Gittelson, Hiptmair & Perugia, M2AN 43, 2009).  Interior facets
+need no points at all.
 """
 
 from dataclasses import dataclass
@@ -81,58 +93,144 @@ def _tensor_points(nodes, weights):
     return pts.reshape(batch, -1, d), w.reshape(batch, -1)
 
 
-def facet_rules(facets, k_max, q_max):
-    """Tensor Gauss rules on axis-aligned facets, built in one pass.
+# Complex values one batch of a skeleton pass may hold in one array, about
+# facets x points x waves of both sides (1 MB): caps a pass's working set
+# beyond the blocks or sums it returns.
+BATCH_VALUES = 1 << 16
 
-    Facet i gets points_per_direction(q_max[i], k_max[i], diameter) points
-    per tangential axis.  Facets sharing a point count and normal axis are
-    mapped together, each tangential axis as mid + half * x with weights
-    half * w, the normal coordinate set to lo[axis].  Yields one rule per
-    facet, in order, as views into the group arrays, so a pass never holds
-    all per-facet rule objects at once; each facet needs lo/hi corners and
-    the normal axis.
+
+def _facet_points(lo, hi, axis, n):
+    """n**(d-1)-point tensor Gauss rules on F facets normal to `axis`.
+
+    Each tangential axis is mapped as mid + half * x with weights half * w,
+    the normal coordinate set to lo[axis]; points (F, m, d), weights (F, m).
     """
-    lo = np.array([facet.lo for facet in facets])
-    hi = np.array([facet.hi for facet in facets])
-    axes = np.array([facet.axis for facet in facets])
-    # Facet.diameter, evaluated once per distinct extent hi - lo.
-    extents, which = np.unique(hi - lo, axis=0, return_inverse=True)
-    diameter = np.array([float(np.linalg.norm(e)) for e in extents])[which.reshape(-1)]
-    n_pts = points_per_direction(np.asarray(q_max), np.asarray(k_max), diameter)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    where = np.empty((len(facets), 2), dtype=int)  # (group, slot) of each facet
-    grids = []
-    for n, axis in sorted(set(zip(n_pts.tolist(), axes.tolist()))):
-        members = np.flatnonzero((n_pts == n) & (axes == axis))
-        x, w = _gauss_nodes(n)
-        tangential = [ax for ax in range(lo.shape[1]) if ax != axis]
-        sub = np.ix_(members, tangential)
-        pts_t, wts = _tensor_points(
-            mid[sub][..., None] + half[sub][..., None] * x, half[sub][..., None] * w
-        )
-        pts = np.empty(pts_t.shape[:2] + lo.shape[1:])
-        pts[:, :, tangential] = pts_t
-        pts[:, :, axis] = lo[members, axis, None]
-        where[members, 0] = len(grids)
-        where[members, 1] = np.arange(len(members))
-        grids.append((pts, wts))
-    for g, j in where.tolist():
-        pts, wts = grids[g]
-        yield QuadratureRule(points=pts[j], weights=wts[j])
+    x, w = _gauss_nodes(n)
+    tangential = [ax for ax in range(lo.shape[1]) if ax != axis]
+    mid = (0.5 * (lo + hi))[:, tangential]
+    half = (0.5 * (hi - lo))[:, tangential]
+    pts_t, wts = _tensor_points(mid[..., None] + half[..., None] * x, half[..., None] * w)
+    pts = np.empty(pts_t.shape[:2] + lo.shape[1:])
+    pts[:, :, tangential] = pts_t
+    pts[:, :, axis] = lo[:, axis, None]
+    return pts, wts
 
 
 def facet_rule(facet, k_max, q_max):
-    """Tensor Gauss rule on one axis-aligned facet (see facet_rules)."""
-    return next(facet_rules([facet], [k_max], [q_max]))
+    """Tensor Gauss rule on one axis-aligned facet.
+
+    points_per_direction(q_max, k_max, facet diameter) points per tangential
+    axis; point for point the rule FacetBatch.rule builds for the facet.
+    """
+    n = points_per_direction(q_max, k_max, facet.diameter)
+    pts, wts = _facet_points(facet.lo[None], facet.hi[None], facet.axis, n)
+    return QuadratureRule(points=pts[0], weights=wts[0])
 
 
-def skeleton_rules(mesh, facets):
-    """facet_rules for mesh facets, at the larger k and degree of their sides."""
-    els = mesh.elements
-    sides = [(els[f.side_a], els[f.side_a if f.is_boundary else f.side_b]) for f in facets]
-    k_max = [max(a.k, b.k) for a, b in sides]
-    return facet_rules(facets, k_max, [max(a.degree, b.degree) for a, b in sides])
+@dataclass(frozen=True)
+class FacetBatch:
+    """Facets of one skeleton pass that are evaluated together.
+
+    They share the normal axis, the Gauss point count n per tangential axis,
+    the wave counts p_a, p_b of their sides (p_b = 0 on the boundary) and,
+    on the boundary, the tag (side_b) and the normal.  Arrays run over the
+    batch's facets in skeleton order: side ids (F,), normals, lo and hi
+    corners (F, d).
+    """
+
+    side_a: np.ndarray
+    side_b: object
+    normal: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    axis: int
+    n: int
+    p_a: int
+    p_b: int
+
+    @property
+    def is_boundary(self):
+        return isinstance(self.side_b, str)
+
+    def rule(self):
+        """Gauss points (F, m, d) and weights (F, m), facet by facet as facet_rule."""
+        return _facet_points(self.lo, self.hi, self.axis, self.n)
+
+
+def skeleton_batches(mesh, facets):
+    """The facets grouped into FacetBatches, the one grouping of every skeleton pass.
+
+    A facet gets points_per_direction(q_max, k_max, diameter) points per
+    tangential axis at the larger degree and wavenumber of its sides.
+    Groups are keyed by boundary tag (interior first), point count, normal
+    axis, normal sign (boundary only) and the sides' wave counts, and come
+    in sorted key order.  A group is cut into batches of at most
+    BATCH_VALUES // (m * (p_a + p_b)) facets, at least one, with m points
+    per facet; the batches are yielded one at a time, so a pass never holds
+    more than one batch's rules and traces.
+    """
+    lo = np.array([facet.lo for facet in facets])
+    hi = np.array([facet.hi for facet in facets])
+    normal = np.array([facet.normal for facet in facets])
+    # Facet.diameter, evaluated once per distinct extent hi - lo.
+    extents, which = np.unique(hi - lo, axis=0, return_inverse=True)
+    diameter = np.array([float(np.linalg.norm(e)) for e in extents])[which.reshape(-1)]
+    side = {eid: (el.k, el.degree, el.n_waves) for eid, el in mesh.elements.items()}
+    side_b, k_max, q_max, keys = [], [], [], []
+    for facet in facets:
+        k_a, q_a, p_a = side[facet.side_a]
+        if facet.is_boundary:
+            k_b, q_b, p_b = k_a, q_a, 0
+            side_b.append(-1)
+            tag, sign = facet.side_b, int(facet.normal[facet.axis])
+        else:
+            k_b, q_b, p_b = side[facet.side_b]
+            side_b.append(facet.side_b)
+            tag, sign = "", 0
+        k_max.append(max(k_a, k_b))
+        q_max.append(max(q_a, q_b))
+        keys.append((tag, facet.axis, sign, p_a, p_b))
+    n_pts = points_per_direction(np.array(q_max), np.array(k_max), diameter)
+    groups = {}
+    for i, ((tag, *rest), n) in enumerate(zip(keys, n_pts.tolist())):
+        groups.setdefault((tag, n, *rest), []).append(i)
+    side_a = np.array([facet.side_a for facet in facets])
+    side_b = np.array(side_b)
+    for key in sorted(groups):
+        tag, n, axis, _, p_a, p_b = key
+        members = np.array(groups[key])
+        width = n ** (lo.shape[1] - 1) * (p_a + p_b)
+        size = max(1, BATCH_VALUES // width)
+        for start in range(0, len(members), size):
+            sl = members[start:start + size]
+            yield FacetBatch(side_a=side_a[sl], side_b=tag or side_b[sl], normal=normal[sl],
+                             lo=lo[sl], hi=hi[sl], axis=axis, n=n, p_a=p_a, p_b=p_b)
+
+
+def box_gram(lo, hi, kd_t, centre_t, kd_r, centre_r):
+    """Closed-form Gram blocks of plane waves over F axis-aligned boxes.
+
+    Box f spans [lo[f], hi[f]] (F, d).  Test wave i of box f is
+    exp(i kd_t[f, i] . (x - centre_t[f])), trial wave j likewise with
+    kd_r (F, p_r, d) and centre_r (F, d).  Returns the (F, p_t, p_r) blocks
+    of int conj(test_i) trial_j.  With a = kd_r[j] - kd_t[i] and x_m the
+    box midpoint the integrand is a phase exp(i (kd_r[j] . (x_m - centre_r)
+    - kd_t[i] . (x_m - centre_t))) times exp(i a . (x - x_m)), which
+    integrates to e sinc(a e / 2) over an axis of extent e, written
+    e * np.sinc(a e / 2 pi).  An axis of zero extent contributes 1, so a
+    facet, a box of zero width along its normal, gets its surface integral.
+    """
+    mid = 0.5 * (lo + hi)
+    phase = (np.einsum("fjd,fd->fj", kd_r, mid - centre_r)[:, None, :]
+             - np.einsum("fid,fd->fi", kd_t, mid - centre_t)[:, :, None])
+    gram = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=gram.real)
+    np.sin(phase, out=gram.imag)
+    for ax, ext in enumerate((hi - lo).T):
+        a = kd_r[:, None, :, ax] - kd_t[:, :, None, ax]
+        scale = np.where(ext > 0.0, ext, 1.0)[:, None, None]
+        gram *= scale * np.sinc(a * (ext / (2.0 * np.pi))[:, None, None])
+    return gram
 
 
 def volume_rule(element):

@@ -6,8 +6,10 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from tdg.assembly import PenaltyParams, assemble_system
+from tdg.basis import eval_basis_derivative, frame_from_direction
 from tdg.mesh import DIRICHLET, ROBIN, DomainSpec, build_initial_mesh, refine_elements
 from tdg.problems import ProblemSpec, l2_errors
+from tdg.quadrature import facet_rule
 from tdg.solution import DiscreteSolution
 from tdg.solve import solve
 
@@ -210,3 +212,75 @@ def test_to_sparse_equals_meshgrid_flattening(kind, direction, n, marked):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data, want.data)
+
+
+def _reference_system(mesh, problem, params=PenaltyParams()):
+    """Blocks and rhs by Gauss quadrature, one facet at a time."""
+    system = assemble_system(mesh, problem, params)  # for the dof layout only
+    blocks, rhs = {}, np.zeros_like(system.rhs)
+    alpha, beta, delta = params.alpha, params.beta, params.delta
+    for facet in mesh.facets():
+        el_a = mesh.elements[facet.side_a]
+        sides = [el_a] if facet.is_boundary else [el_a, mesh.elements[facet.side_b]]
+        rule = facet_rule(facet, max(el.k for el in sides), max(el.degree for el in sides))
+        w = rule.weights[:, None]
+        traces = [eval_basis_derivative(el, rule.points, facet.normal) for el in sides]
+        if facet.is_boundary:
+            ((v, g),) = traces
+            data = rule.weights * problem.boundary_data(facet.side_b, rule.points, facet.normal)
+            vc, gc = v.conj().T, g.conj().T
+            if facet.side_b == ROBIN:
+                ikt = 1j * el_a.k * problem.impedance_sign
+                mat = (1.0 - delta) * (gc @ (w * v) + ikt * (vc @ (w * v))) - delta * (
+                    (gc @ (w * g)) / ikt + vc @ (w * g))
+                vec = (1.0 - delta) * (vc @ data) - (delta / ikt) * (gc @ data)
+            else:
+                ika = 1j * el_a.k * alpha
+                mat = ika * (vc @ (w * v)) - vc @ (w * g)
+                vec = ika * (vc @ data) - gc @ data
+            blocks[el_a.id, el_a.id] = blocks.get((el_a.id, el_a.id), 0) + mat
+            r0, r1 = system.dof_map[el_a.id]
+            rhs[r0:r1] += vec
+            continue
+        ik = 1j * problem.facet_wavenumber(sides[0].k, sides[1].k)
+        signed = [(el, v, g, s) for el, (v, g), s in zip(sides, traces, (1.0, -1.0))]
+        for el_t, v_t, g_t, s_t in signed:
+            for el_r, v_r, g_r, s_r in signed:
+                mat = g_t.conj().T @ (0.5 * s_t * w * v_r - (beta / ik) * s_r * s_t * w * g_r)
+                mat += v_t.conj().T @ (-0.5 * s_t * w * g_r + alpha * ik * s_r * s_t * w * v_r)
+                key = (el_t.id, el_r.id)
+                blocks[key] = blocks.get(key, 0) + mat
+    return system, blocks, rhs
+
+
+def _assert_matches_reference(mesh, problem, params=PenaltyParams()):
+    system, blocks, rhs = _reference_system(mesh, problem, params)
+    assert sorted(system.blocks) == sorted(blocks)
+    for key, block in blocks.items():
+        assert np.max(np.abs(system.blocks[key] - block)) <= 1e-12 * np.max(np.abs(block))
+    assert np.max(np.abs(system.rhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize(
+    "kind, direction, n, marked",
+    [("unit_square", (0.6, 0.8), 4, [0, 5]), ("unit_cube", (0.0, 0.6, 0.8), 2, [0])],
+)
+def test_closed_form_blocks_match_per_facet_quadrature(kind, direction, n, marked):
+    boundary = {"all": ROBIN, "xmin": DIRICHLET}
+    problem = _plane_problem(kind, direction, boundary=boundary)
+    mesh = refine_elements(_mesh_for(problem, n, 2), marked)
+    for eid, el in mesh.elements.items():
+        el.degree = 1 + eid % 3
+        if eid % 4 == 1:
+            el.frame = frame_from_direction(np.roll(direction, 1))
+    _assert_matches_reference(mesh, problem, PenaltyParams(alpha=0.7, beta=0.3, delta=0.4))
+
+
+def test_closed_form_blocks_match_on_transmission_facets():
+    domain = DomainSpec(kind="square2", boundary_partition={"all": DIRICHLET})
+    problem = ProblemSpec(kind="transmission", domain=domain, omega=8.0, index_below=1.0,
+                          index_above=1.5, incidence_deg=40.0)
+    mesh = refine_elements(_mesh_for(problem, 4, 3), [5])
+    assert any(mesh.elements[f.side_a].k != mesh.elements[f.side_b].k
+               for f in mesh.facets() if not f.is_boundary)
+    _assert_matches_reference(mesh, problem)

@@ -13,8 +13,10 @@ from tdg.estimator import (
     global_estimate,
     indicators,
 )
-from tdg.mesh import DIRICHLET, ROBIN, DomainSpec, build_initial_mesh
+from tdg import quadrature
+from tdg.mesh import DIRICHLET, ROBIN, DomainSpec, build_initial_mesh, refine_elements
 from tdg.problems import ProblemSpec
+from tdg.quadrature import facet_rule
 from tdg.solution import DiscreteSolution
 from tdg.solve import solve
 
@@ -177,3 +179,88 @@ def test_indicator_order_and_nonnegativity():
     for r in records:
         assert r.eta >= 0.0
         assert all(c >= 0.0 for c in r.components)
+
+
+# --- batched skeleton passes against a per-facet pointwise reference ---
+
+def _reference_components(mesh, solution, problem, params=PenaltyParams()):
+    """Weighted (jump_u, jump_gradu, robin, dirichlet) per element id, one facet at a time."""
+    raw = {eid: np.zeros(4) for eid in mesh.elements}
+    for facet in mesh.facets():
+        el_a = mesh.elements[facet.side_a]
+        sides = [el_a] if facet.is_boundary else [el_a, mesh.elements[facet.side_b]]
+        rule = facet_rule(facet, max(el.k for el in sides), max(el.degree for el in sides))
+        w = rule.weights
+        traces = [solution.value_and_derivative(el, rule.points, facet.normal) for el in sides]
+        if facet.is_boundary:
+            ((u, gn),) = traces
+            data = problem.boundary_data(facet.side_b, rule.points, facet.normal)
+            if facet.side_b == ROBIN:
+                residual = data - (gn + 1j * el_a.k * problem.impedance_sign * u)
+                raw[el_a.id][2] += w @ np.abs(residual) ** 2
+            else:
+                raw[el_a.id][3] += w @ np.abs(data - u) ** 2
+            continue
+        (u_a, gn_a), (u_b, gn_b) = traces
+        for el in sides:
+            raw[el.id][0] += w @ np.abs(u_a - u_b) ** 2
+            raw[el.id][1] += w @ np.abs(gn_a - gn_b) ** 2
+    out = {}
+    for eid, (ju, jg, ro, di) in raw.items():
+        el = mesh.elements[eid]
+        low, high = el.h / el.degree, (el.h / el.degree) ** 3
+        out[eid] = np.sqrt([params.alpha * low * ju, params.beta * high * jg,
+                            params.delta * high * ro, params.alpha * low * di])
+    return out
+
+
+def _mixed_case(kind):
+    if kind == "unit_square":
+        boundary, direction, n, marked = {"all": ROBIN, "xmin": DIRICHLET}, (0.6, 0.8), 4, [0, 5]
+    else:
+        boundary, direction, n, marked = {"all": ROBIN, "zmax": DIRICHLET}, (0.0, 0.6, 0.8), 2, [0]
+    domain = DomainSpec(kind=kind, boundary_partition=boundary)
+    problem = ProblemSpec(kind="plane_wave", domain=domain, k=K, direction=direction)
+    mesh = refine_elements(build_initial_mesh(domain, n, problem.wavenumber_field(), 2), marked)
+    for eid, el in mesh.elements.items():
+        el.degree = 1 + eid % 3
+    rng = np.random.default_rng(3)
+    coeffs = {eid: rng.normal(size=el.n_waves) + 1j * rng.normal(size=el.n_waves)
+              for eid, el in mesh.elements.items()}
+    return mesh, problem, DiscreteSolution(mesh=mesh, coefficients=coeffs)
+
+
+@pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
+def test_batched_indicators_match_per_facet_reference(kind):
+    mesh, problem, solution = _mixed_case(kind)
+    facets = mesh.facets()
+    assert any(f.level != mesh.elements[f.side_b].level for f in facets if not f.is_boundary)
+    assert {f.side_b for f in facets if f.is_boundary} == {ROBIN, DIRICHLET}
+    want = _reference_components(mesh, solution, problem)
+    records = indicators(mesh, solution, problem)
+    assert [r.element for r in records] == sorted(want)
+    for record in records:
+        assert_allclose(record.components, want[record.element], rtol=1e-12, atol=0.0)
+    for column in range(4):
+        assert any(want[eid][column] > 0.0 for eid in want)
+
+
+@pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
+def test_batch_cap_of_one_facet_changes_nothing(kind, monkeypatch):
+    mesh, problem, solution = _mixed_case(kind)
+    batches = list(quadrature.skeleton_batches(mesh, mesh.facets()))
+    assert max(len(b.side_a) for b in batches) > 1
+    for b in batches:  # (facets, points, waves of both sides) within the cap
+        width = b.n ** (mesh.dim - 1) * (b.p_a + b.p_b)
+        assert len(b.side_a) == 1 or len(b.side_a) * width <= quadrature.BATCH_VALUES
+    system = assemble_system(mesh, problem)
+    records = indicators(mesh, solution, problem)
+    monkeypatch.setattr(quadrature, "BATCH_VALUES", 1)
+    assert all(len(b.side_a) == 1 for b in quadrature.skeleton_batches(mesh, mesh.facets()))
+    single = assemble_system(mesh, problem)
+    assert sorted(single.blocks) == sorted(system.blocks)
+    for key, block in system.blocks.items():
+        assert np.max(np.abs(single.blocks[key] - block)) <= 1e-14 * np.max(np.abs(block))
+    assert np.max(np.abs(single.rhs - system.rhs)) <= 1e-14 * np.max(np.abs(system.rhs))
+    for one, many in zip(indicators(mesh, solution, problem), records):
+        assert_allclose(one.components, many.components, rtol=1e-14, atol=0.0)

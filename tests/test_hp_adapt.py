@@ -203,6 +203,30 @@ def test_decide_accepts_precomputed_plan():
     assert a_pred == b_pred
 
 
+def test_decide_copies_the_mesh_once(monkeypatch):
+    # One element split and one enriched on the 48-element L-shape: 48
+    # copies plus 4 children, not a second copy of all 48.
+    from tdg.mesh import Element
+
+    mesh = build_initial_mesh(DomainSpec(kind="l_shape"), 8, ConstantWavenumber(20.0), 3)
+    assert len(mesh.elements) == 48
+    records = [_record(eid, 1.0, eta_pred=0.5 if eid == 0 else math.inf)
+               for eid in mesh.elements]
+    built = []
+    post_init = Element.__post_init__
+
+    def counting(self):
+        built.append(self.id)
+        post_init(self)
+
+    monkeypatch.setattr(Element, "__post_init__", counting)
+    new_mesh, _ = decide_and_refine(mesh, {0, 1}, records, AdaptConfig())
+    assert len(built) == 52
+    assert list(new_mesh.last_refined) == [0]
+    assert new_mesh.elements[1].degree == 4
+    assert mesh.elements[1].degree == 3
+
+
 def test_h_only_never_changes_degrees():
     mesh = _mesh(n=2, q0=3)
     records = [_record(eid, float(eid + 1), eta_pred=0.01) for eid in mesh.elements]

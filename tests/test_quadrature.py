@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tdg.mesh import DomainSpec, build_initial_mesh, refine_elements
+from tdg.basis import element_directions, eval_basis, frame_from_direction
+from tdg.mesh import DomainSpec, InterfaceWavenumber, build_initial_mesh, refine_elements
 from tdg.problems import ConstantWavenumber
 from tdg.quadrature import (
     _gauss_nodes,
+    box_gram,
     facet_rule,
     points_per_direction,
-    skeleton_rules,
+    skeleton_batches,
     volume_rule,
 )
 
@@ -166,19 +168,31 @@ def test_batched_facet_rules_equal_meshgrid_reference(kind, n, marked):
     levels = {(f.level, mesh.elements[f.side_b].level) for f in facets if not f.is_boundary}
     assert (1, 0) in levels  # hanging facets: finer side_a, coarser side_b
     assert any(f.is_boundary for f in facets)
-    rules = list(skeleton_rules(mesh, facets))
-    assert len(rules) == len(facets)
-    for facet, rule in zip(facets, rules):
-        el_a = mesh.elements[facet.side_a]
-        sides = [el_a] if facet.is_boundary else [el_a, mesh.elements[facet.side_b]]
-        k_max = max(el.k for el in sides)
-        q_max = max(el.degree for el in sides)
-        pts, wts = _reference_facet_rule(facet, k_max, q_max)
-        assert np.array_equal(rule.points, pts)
-        assert np.array_equal(rule.weights, wts)
-        single = facet_rule(facet, k_max, q_max)
-        assert np.array_equal(single.points, pts)
-        assert np.array_equal(single.weights, wts)
+    by_box = {(f.side_a, tuple(f.lo), tuple(f.hi)): f for f in facets}
+    seen = []
+    for batch in skeleton_batches(mesh, facets):
+        points, weights = batch.rule()
+        for j, key in enumerate(zip(batch.side_a.tolist(), map(tuple, batch.lo),
+                                    map(tuple, batch.hi))):
+            facet = by_box[key]
+            seen.append(facet)
+            assert batch.axis == facet.axis
+            assert np.array_equal(batch.normal[j], facet.normal)
+            if facet.is_boundary:
+                assert batch.side_b == facet.side_b
+            else:
+                assert batch.side_b[j] == facet.side_b
+            el_a = mesh.elements[facet.side_a]
+            sides = [el_a] if facet.is_boundary else [el_a, mesh.elements[facet.side_b]]
+            k_max = max(el.k for el in sides)
+            q_max = max(el.degree for el in sides)
+            pts, wts = _reference_facet_rule(facet, k_max, q_max)
+            assert np.array_equal(points[j], pts)
+            assert np.array_equal(weights[j], wts)
+            single = facet_rule(facet, k_max, q_max)
+            assert np.array_equal(single.points, pts)
+            assert np.array_equal(single.weights, wts)
+    assert sorted(map(id, seen)) == sorted(map(id, facets))
 
 
 @pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
@@ -191,3 +205,100 @@ def test_volume_rule_equals_meshgrid_reference(kind):
         assert np.array_equal(rule.weights, wts)
         grids = np.meshgrid(*rule.axis_points, indexing="ij")
         assert np.array_equal(np.stack([g.ravel() for g in grids], axis=1), rule.points)
+
+
+# --- closed-form Gram blocks against a 40-point-per-axis Gauss reference ---
+
+def _gauss_gram(lo, hi, el_t, el_r, n=40):
+    """sum_m w_m conj(phi_t(x_m)) phi_r(x_m) over a box, zero-extent axes fixed."""
+    x, w = _gauss_nodes(n)
+    axes = [_axis_rule(lo, hi, ax, x, w) for ax in range(lo.shape[0]) if hi[ax] > lo[ax]]
+    pts_t, wts = _meshgrid_tensor(axes)
+    pts = np.tile(lo, (len(wts), 1))
+    pts[:, hi > lo] = pts_t
+    return eval_basis(el_t, pts).conj().T @ (wts[:, None] * eval_basis(el_r, pts))
+
+
+def _closed_gram(lo, hi, el_t, el_r):
+    kd_t, kd_r = (el.k * element_directions(el)[None] for el in (el_t, el_r))
+    return box_gram(lo[None], hi[None], kd_t, el_t.centroid[None], kd_r, el_r.centroid[None])[0]
+
+
+def _assert_skeleton_grams(mesh):
+    """All four side-pair blocks of every interior facet, to 1e-13 of its measure."""
+    checked = 0
+    for facet in mesh.facets():
+        if facet.is_boundary:
+            continue
+        sides = (mesh.elements[facet.side_a], mesh.elements[facet.side_b])
+        for el_t in sides:
+            for el_r in sides:
+                got = _closed_gram(facet.lo, facet.hi, el_t, el_r)
+                want = _gauss_gram(facet.lo, facet.hi, el_t, el_r)
+                assert np.max(np.abs(got - want)) <= 1e-13 * facet.measure
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("kind, n, marked", [("unit_square", 4, [0, 5]), ("unit_cube", 2, [0])])
+def test_box_gram_on_conforming_and_hanging_facets(kind, n, marked):
+    mesh = _hp_mesh(kind, n, marked)
+    facets = mesh.facets()
+    assert any(f.level != mesh.elements[f.side_b].level
+               for f in facets if not f.is_boundary)  # hanging coarse/fine pairs
+    assert _assert_skeleton_grams(mesh) == 4 * sum(not f.is_boundary for f in facets)
+
+
+@pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
+def test_box_gram_rotated_frames_and_override(kind):
+    mesh = _hp_mesh(kind, 2, [0])
+    dim = mesh.dim
+    rng = np.random.default_rng(7)
+    for eid, el in mesh.elements.items():
+        unit = rng.normal(size=dim)
+        unit /= np.linalg.norm(unit)
+        if eid % 3 == 1:
+            el.directions_override = np.stack([unit, -unit])
+        else:
+            el.frame = frame_from_direction(unit)
+    _assert_skeleton_grams(mesh)
+
+
+def test_box_gram_transmission_facet():
+    field = InterfaceWavenumber(axis=1, position=0.0, below=15.0, above=24.0, facet_k=12.0)
+    mesh = build_initial_mesh(DomainSpec(kind="square2"), 4, field, 3)
+    across = [f for f in mesh.facets() if not f.is_boundary
+              and mesh.elements[f.side_a].k != mesh.elements[f.side_b].k]
+    assert across
+    for facet in across:
+        sides = (mesh.elements[facet.side_a], mesh.elements[facet.side_b])
+        for el_t in sides:
+            for el_r in sides:
+                got = _closed_gram(facet.lo, facet.hi, el_t, el_r)
+                want = _gauss_gram(facet.lo, facet.hi, el_t, el_r)
+                assert np.max(np.abs(got - want)) <= 1e-13 * facet.measure
+
+
+@pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
+def test_box_gram_aligned_waves_are_the_sinc_limit(kind):
+    # Neighbours with one frame and wavenumber carry identical waves, so
+    # each diagonal entry of their coupling block has a = 0 on every axis:
+    # modulus exactly the facet measure, phase that of the centroid shift.
+    mesh = _mesh(n=2, k=17.0, q0=2, kind=kind)
+    facet = next(f for f in mesh.facets() if not f.is_boundary)
+    el_a, el_b = mesh.elements[facet.side_a], mesh.elements[facet.side_b]
+    got = _closed_gram(facet.lo, facet.hi, el_a, el_b)
+    kd = el_a.k * element_directions(el_a)
+    shift = np.exp(1j * kd @ (el_a.centroid - el_b.centroid))
+    assert np.max(np.abs(np.diag(got) - facet.measure * shift)) <= 1e-13 * facet.measure
+    want = _gauss_gram(facet.lo, facet.hi, el_a, el_b)
+    assert np.max(np.abs(got - want)) <= 1e-13 * facet.measure
+
+
+def test_box_gram_on_an_element_box():
+    # Every axis with nonzero extent contributes its sinc factor.
+    mesh = _hp_mesh("unit_square", 2, [])
+    el_a, el_b = mesh.elements[0], mesh.elements[1]
+    got = _closed_gram(el_a.lo, el_a.hi, el_a, el_b)
+    want = _gauss_gram(el_a.lo, el_a.hi, el_a, el_b)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.prod(el_a.hi - el_a.lo)
