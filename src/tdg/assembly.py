@@ -36,12 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import WaveTable, eval_traces
-from .mesh import DIRICHLET, ROBIN
+from .mesh import ROBIN
 from .quadrature import box_gram, skeleton_batches
-
-
-class AssemblyError(Exception):
-    """Malformed facet data or boundary tags."""
 
 
 @dataclass(frozen=True)
@@ -126,8 +122,6 @@ def _interior_blocks(batch, waves, problem, params):
 def _boundary_blocks(batch, waves, problem, params):
     """(blocks (F, p, p), loads (F, p)) of boundary facets, by quadrature."""
     tag = batch.side_b
-    if tag not in (ROBIN, DIRICHLET):
-        raise AssemblyError(f"facet carries invalid boundary tag {tag!r}")
     points, w = batch.rule()
     # hankel1 and jv slow down right after a zgemm (tdg.basis): the data
     # comes first, and a matrix-vector product ends the batch.
@@ -150,15 +144,8 @@ def _boundary_blocks(batch, waves, problem, params):
     return gram * (ika[:, :, None] - dn[:, None, :]), loads * (ika - dc)
 
 
-def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
-    """Assemble the TDG system for the mesh and problem.
-
-    `facets` may override the mesh skeleton (used for consistency
-    checks); each entry must carry side ids, a normal and a geometry
-    box as produced by skeleton_facets.
-    """
-    if facets is None:
-        facets = mesh.facets()
+def assemble_system(mesh, problem, params=PenaltyParams()):
+    """Assemble the TDG system for the mesh and problem over the mesh skeleton."""
     dof_map = {}
     offset = 0
     for eid in mesh.element_ids():
@@ -169,7 +156,7 @@ def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
     rhs = np.zeros(dim, dtype=complex)
     blocks = {}
     waves = WaveTable(mesh.elements)
-    for batch in skeleton_batches(mesh, facets):
+    for batch in skeleton_batches(mesh):
         if not batch.is_boundary:
             for test_ids, trial_ids, mats in _interior_blocks(batch, waves, problem, params):
                 _add_blocks(blocks, test_ids, trial_ids, mats)
@@ -179,7 +166,4 @@ def assemble_system(mesh, problem, params=PenaltyParams(), facets=None):
         first = np.array([dof_map[eid][0] for eid in batch.side_a])
         np.add.at(rhs, first[:, None] + np.arange(loads.shape[1]), loads)
 
-    for eid in mesh.element_ids():
-        if (eid, eid) not in blocks:
-            raise AssemblyError(f"element {eid} has no facet contributions")
     return GlobalSystem(blocks=blocks, rhs=rhs, dof_map=dof_map, dim=dim)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .assembly import PenaltyParams
 from .basis import WaveTable, eval_traces
-from .mesh import DIRICHLET, ROBIN
+from .mesh import ROBIN
 from .quadrature import skeleton_batches
 
 
@@ -74,7 +74,7 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
     waves = WaveTable(mesh.elements, solution.coefficients)
     # Raw squared facet integrals per element: jump_u, jump_gradu, robin, dirichlet.
     raw = np.zeros((len(ids), 4))
-    for batch in skeleton_batches(mesh, mesh.facets()):
+    for batch in skeleton_batches(mesh):
         points, w = batch.rule()
         rows_a = np.searchsorted(ids, batch.side_a)
         if not batch.is_boundary:
@@ -86,8 +86,6 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
             np.add.at(raw[:, :2], np.searchsorted(ids, batch.side_b), jumps)
             continue
         tag = batch.side_b
-        if tag not in (ROBIN, DIRICHLET):
-            raise ValueError(f"unknown boundary tag {tag!r}")
         # Data first: hankel1 and jv slow down right after a zgemm (tdg.basis).
         data = problem.boundary_data(tag, points.reshape(-1, points.shape[2]),
                                      batch.normal[0]).reshape(w.shape)

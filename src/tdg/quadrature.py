@@ -157,8 +157,8 @@ class FacetBatch:
         return _facet_points(self.lo, self.hi, self.axis, self.n)
 
 
-def skeleton_batches(mesh, facets):
-    """The facets grouped into FacetBatches, the one grouping of every skeleton pass.
+def skeleton_batches(mesh):
+    """mesh.facets() grouped into FacetBatches, the one grouping of every skeleton pass.
 
     A facet gets points_per_direction(q_max, k_max, diameter) points per
     tangential axis at the larger degree and wavenumber of its sides.
@@ -169,6 +169,7 @@ def skeleton_batches(mesh, facets):
     per facet; the batches are yielded one at a time, so a pass never holds
     more than one batch's rules and traces.
     """
+    facets = mesh.facets()
     lo = np.array([facet.lo for facet in facets])
     hi = np.array([facet.hi for facet in facets])
     normal = np.array([facet.normal for facet in facets])

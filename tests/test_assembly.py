@@ -143,33 +143,6 @@ def test_flux_parameters_change_system():
     assert np.abs(base - heavy).max() > 1e-6
 
 
-def test_facet_subset_assembly():
-    from tdg.assembly import AssemblyError
-
-    problem = _plane_problem("unit_square", (1.0, 0.0))
-    mesh = _mesh_for(problem, 2, 3)
-    interior = [f for f in mesh.facets() if not f.is_boundary]
-    partial = assemble_system(mesh, problem, facets=interior)
-    full = assemble_system(mesh, problem)
-    assert partial.to_sparse().nnz <= full.to_sparse().nnz
-    assert np.abs(partial.rhs).max() == 0.0  # boundary data lives on boundary facets
-    with pytest.raises(AssemblyError):
-        assemble_system(mesh, problem, facets=interior[:1])
-
-
-def test_unknown_boundary_tag_is_rejected():
-    from dataclasses import replace
-
-    from tdg.assembly import AssemblyError
-
-    problem = _plane_problem("unit_square", (1.0, 0.0))
-    mesh = _mesh_for(problem, 2, 3)
-    facets = [replace(f, side_b="neumann") if f.is_boundary else f
-              for f in mesh.facets()]
-    with pytest.raises(AssemblyError, match="invalid boundary tag 'neumann'"):
-        assemble_system(mesh, problem, facets=facets)
-
-
 def test_assembly_is_deterministic():
     problem = _plane_problem("unit_square", (0.6, 0.8))
     mesh = _mesh_for(problem, 2, 4)

@@ -248,7 +248,7 @@ def test_batched_indicators_match_per_facet_reference(kind):
 @pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
 def test_batch_cap_of_one_facet_changes_nothing(kind, monkeypatch):
     mesh, problem, solution = _mixed_case(kind)
-    batches = list(quadrature.skeleton_batches(mesh, mesh.facets()))
+    batches = list(quadrature.skeleton_batches(mesh))
     assert max(len(b.side_a) for b in batches) > 1
     for b in batches:  # (facets, points, waves of both sides) within the cap
         width = b.n ** (mesh.dim - 1) * (b.p_a + b.p_b)
@@ -256,7 +256,7 @@ def test_batch_cap_of_one_facet_changes_nothing(kind, monkeypatch):
     system = assemble_system(mesh, problem)
     records = indicators(mesh, solution, problem)
     monkeypatch.setattr(quadrature, "BATCH_VALUES", 1)
-    assert all(len(b.side_a) == 1 for b in quadrature.skeleton_batches(mesh, mesh.facets()))
+    assert all(len(b.side_a) == 1 for b in quadrature.skeleton_batches(mesh))
     single = assemble_system(mesh, problem)
     assert sorted(single.blocks) == sorted(system.blocks)
     for key, block in system.blocks.items():

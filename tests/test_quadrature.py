@@ -170,7 +170,7 @@ def test_batched_facet_rules_equal_meshgrid_reference(kind, n, marked):
     assert any(f.is_boundary for f in facets)
     by_box = {(f.side_a, tuple(f.lo), tuple(f.hi)): f for f in facets}
     seen = []
-    for batch in skeleton_batches(mesh, facets):
+    for batch in skeleton_batches(mesh):
         points, weights = batch.rule()
         for j, key in enumerate(zip(batch.side_a.tolist(), map(tuple, batch.lo),
                                     map(tuple, batch.hi))):
