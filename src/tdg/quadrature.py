@@ -1,7 +1,8 @@
 """Gauss-Legendre quadrature, the skeleton grouping, and closed-form plane-wave Grams.
 
-Nodes are computed by Newton iteration on the Legendre polynomials from
-Chebyshev initial guesses and cached per point count.  Facet and volume
+Nodes and weights come from numpy.polynomial.legendre.leggauss (eigenvalues
+of the Jacobi matrix, Golub & Welsch, Math. Comp. 23, 1969), exactly
+symmetric about 0, and are cached per point count.  Facet and volume
 rules are tensor products mapped onto axis-aligned geometry.  The count
 per direction is n = q + ceil(0.7*k*h) + 12: products of two plane
 waves oscillate with phase up to c = k*h across the region, and n-point
@@ -45,29 +46,7 @@ class QuadratureRule:
 def _gauss_nodes(n):
     if n < 1:
         raise ValueError(f"need at least one quadrature point, got {n}")
-    if n == 1:
-        return np.array([0.0]), np.array([2.0])
-    k = np.arange(n)
-    x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
-    for _ in range(100):
-        # Legendre recurrence for P_n and P_{n-1} at the current iterate
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    return x[order], w[order]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def points_per_direction(degree, wavenumber, diameter):

@@ -38,6 +38,14 @@ def test_gauss_polynomial_exactness(n):
         assert approx == pytest.approx(exact, abs=1e-13)
 
 
+def test_gauss_rules_are_exactly_symmetric():
+    for n in range(1, 45):
+        nodes, weights = _gauss_nodes(n)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+
+
 def test_gauss_rejects_empty_rule():
     with pytest.raises(ValueError):
         _gauss_nodes(0)
