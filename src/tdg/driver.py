@@ -29,11 +29,6 @@ from .solution import DiscreteSolution
 from .solve import SingularSystemError, solve
 from .vtkio import write_vtk
 
-CSV_HEADER = (
-    "iter,n_elements,dofs,rel_l2_error,estimate,eff_total,"
-    "eff_jump_u,eff_jump_gradu,eff_robin,cond,wall_ms"
-)
-
 
 @dataclass
 class IterationRecord:
@@ -50,6 +45,9 @@ class IterationRecord:
     eff_robin: float
     cond: float
     wall_ms: float
+
+
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(IterationRecord))
 
 
 def initial_mesh(config):

@@ -39,6 +39,20 @@ def test_initial_element_counts(kind, n, expected):
     assert len(_mesh(kind=kind, n=n).elements) == expected
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "unit_square", "boundary_partition": {"all": "neumann"}}, "robin or dirichlet"),
+        ({"kind": "unit_square", "boundary_partition": {"north": ROBIN}}, "unknown boundary side"),
+        ({"kind": "disk"}, "unknown domain kind"),
+    ],
+)
+def test_domain_spec_rejects_unknown_tag_side_and_kind(spec, message):
+    # The first guard on boundary tags: skeleton passes take them as built.
+    with pytest.raises(MeshError, match=message):
+        DomainSpec(**spec)
+
+
 def test_l_shape_requires_even_resolution():
     with pytest.raises(MeshError):
         _mesh(kind="l_shape", n=3)
