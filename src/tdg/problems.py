@@ -200,20 +200,36 @@ class ProblemSpec:
         return grad @ np.asarray(normal, dtype=float) + 1j * kvals * self.impedance_sign * u
 
 
-def l2_errors(solution, problem):
+def l2_errors(solution, problem, cache=None):
     """(||u - u_hp||_L2, ||u||_L2) over the mesh, by per-element quadrature.
 
     u_hp is evaluated separably on each element's tensor Gauss grid
     (DiscreteSolution.on_grid on the volume rule's axis_points); u is
     evaluated at the rule's points.  Elements are summed in id order.
+
+    `cache` maps (level, cell, points per axis, k) to u on that element's
+    rule, which depends on neither the frame nor the coefficients, so only
+    elements missing from it are evaluated; on return it holds exactly the
+    current mesh's keys.  The caller keeps it across the steps of one
+    problem and never shares it between problems; None keeps nothing.
     """
+    keys = set()
     err_sq = 0.0
     norm_sq = 0.0
     for eid in solution.mesh.element_ids():
         el = solution.mesh.elements[eid]
         rule = volume_rule(el)
-        u_ex = problem.exact_solution(rule.points)
+        key = (el.level, el.cell, rule.axis_points.shape[1], el.k)
+        keys.add(key)
+        u_ex = None if cache is None else cache.get(key)
+        if u_ex is None:
+            u_ex = problem.exact_solution(rule.points)
+            if cache is not None:
+                cache[key] = u_ex
         u_h = solution.on_grid(el, rule.axis_points)
         err_sq += float(rule.weights @ np.abs(u_ex - u_h) ** 2)
         norm_sq += float(rule.weights @ np.abs(u_ex) ** 2)
+    if cache is not None:
+        for key in cache.keys() - keys:
+            del cache[key]
     return np.sqrt(err_sq), np.sqrt(norm_sq)

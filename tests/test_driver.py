@@ -12,7 +12,7 @@ import scipy
 
 import tdg.driver as driver
 from tdg.cli import main
-from tdg.config import _build, load_config_text
+from tdg.config import _build, load_config_text, override
 from tdg.driver import (
     CSV_HEADER,
     IterationRecord,
@@ -131,6 +131,30 @@ def test_adapt_loop_is_deterministic_in_process():
     assert first == second
 
 
+@pytest.mark.parametrize("kind", ["hankel_source", "plane_wave"])
+def test_adapt_loop_measures_through_module_l2_errors(kind, monkeypatch):
+    # perfbench/worker.py times time_to_tol_s by wrapping driver.l2_errors.
+    calls = []
+    l2_errors = driver.l2_errors
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return l2_errors(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "l2_errors", counting)
+    config = override(_config(iters=3), {"problem": {"kind": kind, "direction": "1,1"}})
+    records = run_adapt_loop(config)
+    assert len(records) == 4
+    assert len(calls) == len(records)
+    # One exact-value cache serves the whole loop where the exact solution
+    # needs special functions; plane waves are evaluated afresh.
+    if kind == "hankel_source":
+        assert isinstance(calls[0][2], dict)
+        assert all(args[2] is calls[0][2] for args in calls)
+    else:
+        assert all(args[2] is None for args in calls)
+
+
 def test_hp_loop_drives_error_down():
     config = load_config_text("""
 [domain]
@@ -166,7 +190,7 @@ def test_stagnation_stop_on_rising_estimate(monkeypatch):
     def fake_solve_on(mesh, cfg):
         return None, SimpleNamespace(condition_estimate=10.0)
 
-    def fake_measure(mesh, solution, report, cfg, predictions, it, wall_ms):
+    def fake_measure(mesh, solution, report, cfg, predictions, it, wall_ms, cache):
         est = next(estimates)
         fake_records = [
             IndicatorRecord(element=eid, eta=0.1, jump_u=0.1, jump_gradu=0.0,
@@ -189,7 +213,7 @@ def test_stagnation_disabled_runs_to_budget(monkeypatch):
     def fake_solve_on(mesh, cfg):
         return None, SimpleNamespace(condition_estimate=10.0)
 
-    def fake_measure(mesh, solution, report, cfg, predictions, it, wall_ms):
+    def fake_measure(mesh, solution, report, cfg, predictions, it, wall_ms, cache):
         est = next(estimates)
         fake_records = [
             IndicatorRecord(element=eid, eta=0.1, jump_u=0.1, jump_gradu=0.0,
@@ -209,7 +233,7 @@ def test_condition_limit_stops_loop(monkeypatch):
     def fake_solve_on(mesh, cfg):
         return None, SimpleNamespace(condition_estimate=1e15)
 
-    def fake_measure(mesh, solution, report, cfg, predictions, it, wall_ms):
+    def fake_measure(mesh, solution, report, cfg, predictions, it, wall_ms, cache):
         return _record(it, cond=1e15), [], None
 
     monkeypatch.setattr(driver, "_solve_on", fake_solve_on)

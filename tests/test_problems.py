@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tdg.mesh import DIRICHLET, ROBIN, DomainSpec
+from tdg.basis import frame_from_direction
+from tdg.mesh import DIRICHLET, ROBIN, DomainSpec, build_initial_mesh, refine_elements
 from tdg.problems import (
     ConstantWavenumber,
     InterfaceWavenumber,
     ProblemError,
     ProblemSpec,
+    l2_errors,
 )
+from tdg.quadrature import volume_rule
+from tdg.solution import DiscreteSolution
 
 mpmath.mp.dps = 40
 
@@ -303,3 +307,67 @@ def test_transmission_wave_parameters():
     assert ktrans29.real == pytest.approx(0.0)
     assert ktrans29.imag > 0.0
     assert abs(refl29) == pytest.approx(1.0)
+
+
+# Exact-value cache of l2_errors across adaptive steps -------------------------
+
+def _rotate_first(mesh):
+    mesh.elements[min(mesh.elements)].frame = frame_from_direction([0.0, 0.6, 0.8])
+    return mesh
+
+
+def _cache_case(name):
+    """A problem, its initial mesh and the steps that each give the next mesh."""
+    if name == "corner_h":
+        problem, n, q = corner_problem(), 4, 3
+        steps = [lambda m: refine_elements(m, [1, 4]),
+                 lambda m: refine_elements(m, sorted(m.elements)[-3:])]
+    elif name == "hankel_p":
+        problem, n, q = hankel_problem(), 4, 3
+        steps = [lambda m: refine_elements(m, [], raise_degree=[0, 5, 9]),
+                 lambda m: refine_elements(m, [2], raise_degree=[0, 15])]
+    else:
+        problem, n, q = plane_problem(), 2, 2
+        steps = [_rotate_first, lambda m: refine_elements(m, [3])]
+    mesh = build_initial_mesh(problem.domain, n, problem.wavenumber_field(), q)
+    return problem, mesh, steps
+
+
+def _exact_keys(mesh):
+    """{key: rule size} of every element, by the key l2_errors documents."""
+    keys = {}
+    for el in mesh.elements.values():
+        rule = volume_rule(el)
+        keys[(el.level, el.cell, rule.axis_points.shape[1], el.k)] = len(rule.weights)
+    return keys
+
+
+@pytest.mark.parametrize("name", ["corner_h", "hankel_p", "cube_rotated"])
+def test_l2_errors_cache_evaluates_only_new_elements(name, monkeypatch):
+    problem, mesh, steps = _cache_case(name)
+    rows = []
+    exact_solution = ProblemSpec.exact_solution
+
+    def counting(self, points, gradient=False):
+        rows.append(len(points))
+        return exact_solution(self, points, gradient)
+
+    monkeypatch.setattr(ProblemSpec, "exact_solution", counting)
+    rng = np.random.default_rng(7)
+    cache = {}
+    previous = {}
+    for step in [None, *steps]:
+        if step is not None:
+            mesh = step(mesh)
+        solution = DiscreteSolution(mesh, {
+            eid: rng.standard_normal(el.n_waves) + 1j * rng.standard_normal(el.n_waves)
+            for eid, el in mesh.elements.items()
+        })
+        current = _exact_keys(mesh)
+        rows.clear()
+        cached = l2_errors(solution, problem, cache)
+        assert sum(rows) == sum(size for key, size in current.items()
+                                if key not in previous)
+        assert set(cache) == set(current)
+        assert cached == l2_errors(solution, problem)
+        previous = current
