@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tdg.assembly import GlobalSystem
-from tdg.solve import DENSE_LIMIT, SingularSystemError, SolveReport, solve
+from tdg.solve import SingularSystemError, SolveReport, solve
 
 
 def _system(matrix, rhs):
@@ -35,14 +35,12 @@ def test_diagonal_condition_estimate_is_exact():
     assert report.condition_estimate == pytest.approx(2.0 / 1e-6, rel=1e-10)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_matrix_raises():
     matrix = np.ones((3, 3))
     with pytest.raises(SingularSystemError):
         solve(_system(matrix, np.ones(3)))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_zero_row_raises():
     matrix = np.diag([1.0, 0.0, 2.0])
     with pytest.raises(SingularSystemError):
@@ -82,26 +80,46 @@ def test_solve_is_bitwise_deterministic():
     assert a.condition_estimate == b.condition_estimate
 
 
-def test_sparse_path_matches_dense():
-    # Same block system solved below and above the dense cut-over.
+def test_solve_matches_dense_reference():
     rng = np.random.default_rng(9)
     n = 80
     matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rhs = rng.normal(size=n).astype(complex)
-    dense = solve(_system(matrix, rhs))
-
-    import tdg.solve as solve_mod
-
-    original = solve_mod.DENSE_LIMIT
-    solve_mod.DENSE_LIMIT = 1
-    try:
-        sparse = solve(_system(matrix, rhs))
-    finally:
-        solve_mod.DENSE_LIMIT = original
-    assert_allclose(sparse.coefficients, dense.coefficients, rtol=1e-11)
-    ratio = sparse.condition_estimate / dense.condition_estimate
-    assert 0.01 <= ratio <= 100.0
+    report = solve(_system(matrix, rhs))
+    assert_allclose(report.coefficients, np.linalg.solve(matrix, rhs), rtol=1e-11)
+    true_cond = np.linalg.cond(matrix, p=1)
+    assert report.condition_estimate <= true_cond * 1.0000001
+    assert report.condition_estimate >= true_cond / 100.0
 
 
-def test_dense_limit_constant():
-    assert DENSE_LIMIT == 2000
+def _multi_block_system(rng):
+    # Elements 0, 1, 2 with 3, 2 and 4 waves; 0 and 2 share no block.
+    dof_map = {0: (0, 3), 1: (3, 5), 2: (5, 9)}
+    keys = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)]
+    blocks = {}
+    for test_id, trial_id in keys:
+        (r0, r1), (c0, c1) = dof_map[test_id], dof_map[trial_id]
+        shape = (r1 - r0, c1 - c0)
+        blocks[(test_id, trial_id)] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rhs = rng.normal(size=9) + 1j * rng.normal(size=9)
+    return GlobalSystem(blocks=blocks, rhs=rhs, dof_map=dof_map, dim=9)
+
+
+def test_multi_block_system_matches_dense_reference():
+    system = _multi_block_system(np.random.default_rng(21))
+    dense = np.zeros((9, 9), dtype=complex)
+    for (test_id, trial_id), block in system.blocks.items():
+        r0, r1 = system.dof_map[test_id]
+        c0, c1 = system.dof_map[trial_id]
+        dense[r0:r1, c0:c1] = block
+    report = solve(system)
+    assert_allclose(report.coefficients, np.linalg.solve(dense, system.rhs), rtol=1e-11)
+    assert report.residual <= 1e-12
+
+
+def test_element_without_blocks_raises():
+    system = _multi_block_system(np.random.default_rng(21))
+    for key in [key for key in system.blocks if 1 in key]:
+        del system.blocks[key]
+    with pytest.raises(SingularSystemError):
+        solve(system)
