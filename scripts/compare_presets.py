@@ -1,0 +1,76 @@
+"""Run bundled presets in this tree and in PARENT_TREE and compare their outputs.
+
+    python3 scripts/compare_presets.py PARENT_TREE [--preset NAME ...]
+
+PARENT_TREE is another checkout of this repository, for example one made
+with `git archive`.  Each preset (all bundled presets unless --preset is
+given) runs through `tdg run` in both trees, each with its own `src` on
+PYTHONPATH and OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS
+set to 1.  Per preset it prints whether every CSV and VTK file is
+byte-identical and whether the n_elements/dofs trajectory of every
+convergence.csv is unchanged.  Exits 1 if a trajectory changed or a run
+failed, else 0.
+"""
+
+import argparse
+import csv
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from tdg.config import preset_names  # noqa: E402
+
+
+def run_preset(tree, preset, out):
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "tdg.cli", "run", "--preset", preset, "--out", str(out)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if done.returncode:
+        print(f"{preset}: tdg run failed in {tree}:\n{done.stderr}", file=sys.stderr)
+    return done.returncode == 0
+
+
+def outputs(out, suffix):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob(f"*{suffix}"))}
+
+
+def trajectories(out):
+    result = {}
+    for path in sorted(out.rglob("convergence.csv")):
+        with path.open(newline="") as f:
+            rows = [(r["n_elements"], r["dofs"]) for r in csv.DictReader(f)]
+        result[path.relative_to(out)] = rows
+    return result
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_tree", help="checkout to compare against")
+    parser.add_argument("--preset", action="append", help="preset to run (repeatable)")
+    args = parser.parse_args(argv)
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset in args.preset or preset_names():
+            outs = [Path(tmp) / side / preset for side in ("parent", "change")]
+            if not all([run_preset(tree, preset, out)
+                        for tree, out in zip((args.parent_tree, ROOT), outs)]):
+                failed = True
+                continue
+            same = {suffix: outputs(outs[0], suffix) == outputs(outs[1], suffix)
+                    for suffix in (".csv", ".vtk")}
+            kept = trajectories(outs[0]) == trajectories(outs[1])
+            failed |= not kept
+            print(f"{preset}: csv {'identical' if same['.csv'] else 'DIFFER'}, "
+                  f"vtk {'identical' if same['.vtk'] else 'DIFFER'}, "
+                  f"trajectory {'kept' if kept else 'CHANGED'}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

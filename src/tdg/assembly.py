@@ -22,12 +22,13 @@ Gram block G_tr = int_F conj(phi_t) phi_r of a side pair times a
 coefficient outer product; the four blocks come in closed form from
 `quadrature.box_gram`, with no quadrature points.  Boundary data is no
 plane wave, so boundary facets stay on Gauss quadrature: one
-`boundary_data` call and one batched trace evaluation
-(`basis.eval_traces`) per batch, then the same coefficient products on
-the quadrature Gram block.  Element blocks are kept in a dict keyed by
-(test id, trial id) and flattened to CSR on demand: the COO indices of
-all blocks come from a few np.repeat calls over the sorted keys, each
-block row-major.
+`boundary_data` call and one batch of per-axis trace factors
+(`basis.eval_traces`) per batch.  The quadrature Gram block is the
+elementwise product of per-axis Grams F_a^H diag(w_a) F_a, and gets the
+same coefficient products.  Element blocks are kept in a dict
+keyed by (test id, trial id) and flattened to CSR on demand: the COO
+indices of all blocks come from a few np.repeat calls over the sorted
+keys, each block row-major.
 """
 
 from dataclasses import dataclass, field
@@ -120,17 +121,23 @@ def _interior_blocks(batch, waves, problem, params):
 
 
 def _boundary_blocks(batch, waves, problem, params):
-    """(blocks (F, p, p), loads (F, p)) of boundary facets, by quadrature."""
+    """(blocks (F, p, p), loads (F, p)) of boundary facets, by per-axis quadrature."""
     tag = batch.side_b
     points, w = batch.rule()
     # hankel1 and jv slow down right after a zgemm (tdg.basis): the data
-    # comes first, and a matrix-vector product ends the batch.
+    # comes first, and in 2D a matrix-vector product ends the batch.
     gdata = problem.boundary_data(tag, points.reshape(-1, points.shape[2]), batch.normal[0])
     kd, centroids, k = waves.take(batch.side_a, batch.p_a)
-    values, dn = eval_traces(kd, centroids, points, batch.normal)
-    vh = values.conj().transpose(0, 2, 1)
-    gram = vh @ (w[:, :, None] * values)
-    loads = (vh @ (w * gdata.reshape(w.shape))[:, :, None])[:, :, 0]
+    axis_points, axis_weights = batch.axis_rule()
+    factors, dn = eval_traces(kd, centroids, axis_points, batch.axis, batch.normal)
+    adjoints = [factor.conj().transpose(0, 2, 1) for factor in factors]
+    grams = [adj @ (wa[:, :, None] * factor) for adj, factor, wa
+             in zip(adjoints, factors, np.swapaxes(axis_weights, 0, 1))]
+    gram = grams[0] * grams[1] if grams[1:] else grams[0]
+    loads = adjoints[0] @ (w * gdata.reshape(w.shape)).reshape(len(k), batch.n, -1)
+    for adjoint in adjoints[1:]:
+        loads = np.einsum("fpj,fpj->fp", loads, adjoint)[:, :, None]
+    loads = loads[:, :, 0]
     k = k[:, None]
     dc = dn.conj()
     if tag == ROBIN:

@@ -16,9 +16,10 @@ weighted gradient-to-solution-jump ratio goes like ``kh/q``: the gradient
 jump dominates on coarse meshes and the solution jump once ``kh/q`` is small.
 
 The facet integrals are taken pointwise on Gauss rules, one batch of
-`quadrature.skeleton_batches` at a time: traces from one batched
-evaluation per side, then weighted sums of ``|u_a - u_b|^2``.  The
-assembly's closed-form Gram blocks would give the jumps as ``c^H G c``,
+`quadrature.skeleton_batches` at a time: traces from the per-axis factors
+of `basis.eval_traces` contracted with the coefficients, never as a
+(facets, points, waves) array, then weighted sums of ``|u_a - u_b|^2``.
+The assembly's closed-form Gram blocks would give the jumps as ``c^H G c``,
 but that form subtracts large, nearly equal terms.  On the 8782 interior
 facets of the final ``ex2_lshape_h_k20`` mesh (condition estimate 1.2e14)
 its solution-jump integrals differ from quadrature by a median of 2.3e-8
@@ -60,12 +61,19 @@ def _weighted_squares(weights, values):
     return np.einsum("fm,fm->f", weights, np.abs(values) ** 2)
 
 
-def _traces(waves, ids, p, points, normals):
+def _trace_sum(factors, coeffs):
+    """Facet traces (F, m) of sum_l c_l phi_l, as on_grid: F0 @ (c * F1^T), in 2D F0 @ c."""
+    tail = coeffs[:, :, None]
+    for factor in factors[1:]:
+        tail = tail * np.swapaxes(factor, 1, 2)
+    return (factors[0] @ tail).reshape(len(coeffs), -1)
+
+
+def _traces(waves, ids, p, batch, axis_points):
     """u_h, its derivative along the normals (each (F, m)) and k (F,) on elements ids."""
     kd, centroids, k, coeffs = waves.take(ids, p)
-    values, dn = eval_traces(kd, centroids, points, normals)
-    u = (values @ coeffs[:, :, None])[:, :, 0]
-    return u, (values @ (dn * coeffs)[:, :, None])[:, :, 0], k
+    factors, dn = eval_traces(kd, centroids, axis_points, batch.axis, batch.normal)
+    return _trace_sum(factors, coeffs), _trace_sum(factors, dn * coeffs), k
 
 
 def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None):
@@ -76,10 +84,11 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
     raw = np.zeros((len(ids), 4))
     for batch in skeleton_batches(mesh):
         points, w = batch.rule()
+        axis_points, _ = batch.axis_rule()
         rows_a = np.searchsorted(ids, batch.side_a)
         if not batch.is_boundary:
-            u_a, gn_a, _ = _traces(waves, batch.side_a, batch.p_a, points, batch.normal)
-            u_b, gn_b, _ = _traces(waves, batch.side_b, batch.p_b, points, batch.normal)
+            u_a, gn_a, _ = _traces(waves, batch.side_a, batch.p_a, batch, axis_points)
+            u_b, gn_b, _ = _traces(waves, batch.side_b, batch.p_b, batch, axis_points)
             jumps = np.stack([_weighted_squares(w, u_a - u_b),
                               _weighted_squares(w, gn_a - gn_b)], axis=1)
             np.add.at(raw[:, :2], rows_a, jumps)
@@ -89,7 +98,7 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
         # Data first: hankel1 and jv slow down right after a zgemm (tdg.basis).
         data = problem.boundary_data(tag, points.reshape(-1, points.shape[2]),
                                      batch.normal[0]).reshape(w.shape)
-        u, gn, k = _traces(waves, batch.side_a, batch.p_a, points, batch.normal)
+        u, gn, k = _traces(waves, batch.side_a, batch.p_a, batch, axis_points)
         if tag == ROBIN:
             residual = data - (gn + 1j * k[:, None] * problem.impedance_sign * u)
             np.add.at(raw[:, 2], rows_a, _weighted_squares(w, residual))

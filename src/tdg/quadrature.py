@@ -14,7 +14,8 @@ skeleton_batches: facets sharing a point count, normal axis and side wave
 counts, and on the boundary a tag and a normal, form one FacetBatch, cut
 to at most BATCH_VALUES complex values wide.  A batch's rules come from
 one tensor construction with each facet's own arithmetic, so they equal
-facet_rule point for point.
+facet_rule point for point; FacetBatch.axis_rule gives their per-axis
+nodes and weights, on which plane-wave traces factor (basis.eval_traces).
 
 A product of two plane waves integrates in closed form over an
 axis-aligned box: box_gram, a phase times one L sinc(a L / 2) factor per
@@ -78,20 +79,22 @@ def _tensor_points(nodes, weights):
 BATCH_VALUES = 1 << 16
 
 
-def _facet_points(lo, hi, axis, n):
-    """n**(d-1)-point tensor Gauss rules on F facets normal to `axis`.
-
-    Each tangential axis is mapped as mid + half * x with weights half * w,
-    the normal coordinate set to lo[axis]; points (F, m, d), weights (F, m).
-    """
+def _facet_nodes(lo, hi, axis, n):
+    """Per-axis nodes (F, d, n), normal axis at lo[axis], and tangential weights (F, d-1, n)."""
     x, w = _gauss_nodes(n)
-    tangential = [ax for ax in range(lo.shape[1]) if ax != axis]
-    mid = (0.5 * (lo + hi))[:, tangential]
-    half = (0.5 * (hi - lo))[:, tangential]
-    pts_t, wts = _tensor_points(mid[..., None] + half[..., None] * x, half[..., None] * w)
-    pts = np.empty(pts_t.shape[:2] + lo.shape[1:])
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[..., None] + half[..., None] * x
+    nodes[:, axis] = lo[:, axis, None]
+    return nodes, half[:, np.arange(lo.shape[1]) != axis, None] * w
+
+
+def _facet_points(lo, hi, axis, n):
+    """n**(d-1)-point tensor Gauss rules on F facets: points (F, m, d), weights (F, m)."""
+    nodes, weights = _facet_nodes(lo, hi, axis, n)
+    tangential = np.arange(lo.shape[1]) != axis
+    pts_t, wts = _tensor_points(nodes[:, tangential], weights)
+    pts = np.repeat(lo[:, None], pts_t.shape[1], axis=1)
     pts[:, :, tangential] = pts_t
-    pts[:, :, axis] = lo[:, axis, None]
     return pts, wts
 
 
@@ -134,6 +137,10 @@ class FacetBatch:
     def rule(self):
         """Gauss points (F, m, d) and weights (F, m), facet by facet as facet_rule."""
         return _facet_points(self.lo, self.hi, self.axis, self.n)
+
+    def axis_rule(self):
+        """Per-axis nodes (F, d, n) and tangential weights (F, d-1, n) of rule()."""
+        return _facet_nodes(self.lo, self.hi, self.axis, self.n)
 
 
 def skeleton_batches(mesh):

@@ -29,10 +29,15 @@ class SolveReport:
 
 def _inverse_one_norm_estimate(solve_op, adjoint_op, n):
     """Hager/Higham estimate of ||A^{-1}||_1 from solve callbacks."""
+    # Higham's probe, against adversarial underestimates, shares the first solve.
+    i = np.arange(n)
+    probe = ((-1.0) ** i) * (1.0 + i / max(n - 1, 1))
     x = np.full(n, 1.0 / n, dtype=complex)
+    y, y_probe = solve_op(np.stack([x, probe], axis=1)).T
     best = 0.0
-    for _ in range(5):
-        y = solve_op(x)
+    for step in range(5):
+        if step:
+            y = solve_op(x)
         gamma = float(np.sum(np.abs(y)))
         if gamma <= best * (1.0 + 1e-12):
             break
@@ -45,12 +50,7 @@ def _inverse_one_norm_estimate(solve_op, adjoint_op, n):
             break
         x = np.zeros(n, dtype=complex)
         x[j] = 1.0
-    # Higham's extra probe guards against adversarial underestimates.
-    i = np.arange(n)
-    probe = ((-1.0) ** i) * (1.0 + i / max(n - 1, 1))
-    y = solve_op(probe.astype(complex))
-    best = max(best, 2.0 * float(np.sum(np.abs(y))) / (3.0 * n))
-    return best
+    return max(best, 2.0 * float(np.sum(np.abs(y_probe))) / (3.0 * n))
 
 
 def solve(system):

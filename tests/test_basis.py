@@ -10,18 +10,20 @@ from numpy.testing import assert_allclose
 from tdg import basis
 from tdg.basis import (
     UnsupportedDegreeError,
+    WaveTable,
     canonical_directions,
     canonical_frame,
     element_directions,
     eval_basis,
     eval_basis_derivative,
+    eval_traces,
     frame_from_direction,
     rotated_directions,
     rotation_matrix_3d,
 )
-from tdg.mesh import DomainSpec, build_initial_mesh
+from tdg.mesh import DomainSpec, build_initial_mesh, refine_elements
 from tdg.problems import ConstantWavenumber
-from tdg.quadrature import volume_rule
+from tdg.quadrature import facet_rule, skeleton_batches, volume_rule
 from tdg.solution import DiscreteSolution
 
 
@@ -304,3 +306,63 @@ def test_canonical_frame_is_identity():
     assert_allclose(
         rotated_directions(7, frame), canonical_directions(7, 2), atol=0.0
     )
+
+
+# --- sum-factorised facet traces against pointwise evaluation ---
+
+def _trace_mesh(kind, n, marked):
+    # Mixed degrees, one rotated frame and hanging facets.
+    mesh = build_initial_mesh(DomainSpec(kind=kind), n, ConstantWavenumber(17.0), 2)
+    mesh = refine_elements(mesh, marked)
+    direction = (0.6, 0.8) if kind == "unit_square" else (0.48, 0.6, 0.64)
+    mesh.elements[mesh.element_ids()[0]].frame = frame_from_direction(direction)
+    for eid, el in mesh.elements.items():
+        el.degree = 1 + eid % 3
+    return mesh
+
+
+def _batch_sides(batch):
+    sides = [(batch.side_a, batch.p_a)]
+    return sides if batch.is_boundary else sides + [(batch.side_b, batch.p_b)]
+
+
+def test_2d_traces_equal_pointwise_plane_waves_bit_for_bit():
+    mesh = _trace_mesh("unit_square", 4, [0, 5, 6])
+    waves = WaveTable(mesh.elements)
+    for batch in skeleton_batches(mesh):
+        points, _ = batch.rule()
+        axis_points, _ = batch.axis_rule()
+        for ids, p in _batch_sides(batch):
+            kd, centroids, _ = waves.take(ids, p)
+            factors, dn = eval_traces(kd, centroids, axis_points, batch.axis, batch.normal)
+            assert len(factors) == 1
+            want = basis._plane_waves(points - centroids[:, None, :], 1j * kd)
+            assert np.array_equal(factors[0], want)
+            assert np.array_equal(dn, np.einsum("fpd,fd->fp", 1j * kd, batch.normal))
+
+
+def test_3d_trace_factors_match_eval_basis_on_facet_rules():
+    mesh = _trace_mesh("unit_cube", 2, [0, 3])
+    waves = WaveTable(mesh.elements)
+    facets = {(f.side_a, tuple(f.lo), tuple(f.hi)): f for f in mesh.facets()}
+    normals, hanging = set(), 0
+    for batch in skeleton_batches(mesh):
+        axis_points, _ = batch.axis_rule()
+        for ids, p in _batch_sides(batch):
+            kd, centroids, _ = waves.take(ids, p)
+            (f0, f1), dn = eval_traces(kd, centroids, axis_points, batch.axis, batch.normal)
+            values = (f0[:, :, None, :] * f1[:, None, :, :]).reshape(len(ids), -1, p)
+            for j, eid in enumerate(ids.tolist()):
+                facet = facets[batch.side_a[j], tuple(batch.lo[j]), tuple(batch.hi[j])]
+                sides = [facet.side_a] + ([] if facet.is_boundary else [facet.side_b])
+                k_max = max(mesh.elements[s].k for s in sides)
+                q_max = max(mesh.elements[s].degree for s in sides)
+                rule = facet_rule(facet, k_max, q_max)
+                want, dwant = eval_basis_derivative(mesh.elements[eid], rule.points, facet.normal)
+                assert_allclose(values[j], want, rtol=0.0, atol=1e-13)
+                assert_allclose(values[j] * dn[j], dwant, rtol=0.0, atol=1e-13 * 17.0)
+                normals.add((facet.axis, int(facet.normal[facet.axis])))
+                hanging += not facet.is_boundary and (
+                    facet.level != mesh.elements[facet.side_b].level)
+    assert normals == {(axis, sign) for axis in range(3) for sign in (-1, 1)}
+    assert hanging > 0

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from tdg.assembly import GlobalSystem
-from tdg.solve import SingularSystemError, SolveReport, solve
+from tdg.solve import SingularSystemError, SolveReport, _inverse_one_norm_estimate, solve
 
 
 def _system(matrix, rhs):
@@ -123,3 +125,53 @@ def test_element_without_blocks_raises():
         del system.blocks[key]
     with pytest.raises(SingularSystemError):
         solve(system)
+
+
+def _one_column_estimate(solve_op, adjoint_op, n):
+    """The estimate with one solve per vector: start vector, iterates, then the probe."""
+    x = np.full(n, 1.0 / n, dtype=complex)
+    best = 0.0
+    for _ in range(5):
+        y = solve_op(x)
+        gamma = float(np.sum(np.abs(y)))
+        if gamma <= best * (1.0 + 1e-12):
+            break
+        best = gamma
+        mags = np.abs(y)
+        xi = np.where(mags == 0.0, 1.0 + 0.0j, y / np.where(mags == 0.0, 1.0, mags))
+        z = adjoint_op(xi)
+        j = int(np.argmax(np.abs(z)))
+        if np.abs(z[j]) <= np.real(np.vdot(z, x)) * (1.0 + 1e-12):
+            break
+        x = np.zeros(n, dtype=complex)
+        x[j] = 1.0
+    i = np.arange(n)
+    probe = ((-1.0) ** i) * (1.0 + i / max(n - 1, 1))
+    y = solve_op(probe.astype(complex))
+    return max(best, 2.0 * float(np.sum(np.abs(y))) / (3.0 * n))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_column_condition_estimate_equals_one_column_sequence(seed):
+    rng = np.random.default_rng(seed)
+    n = 60
+    matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    matrix[rng.random((n, n)) < 0.7] = 0.0
+    matrix += 4.0 * np.eye(n)
+    factor = spla.splu(sp.csc_matrix(matrix))
+    shapes = {"batched": [], "one_column": []}
+
+    def counted(key):
+        def solve_op(b):
+            shapes[key].append(b.shape)
+            return factor.solve(b)
+        return solve_op
+
+    def adjoint(v):
+        return factor.solve(v, trans="H")
+
+    batched = _inverse_one_norm_estimate(counted("batched"), adjoint, n)
+    want = _one_column_estimate(counted("one_column"), adjoint, n)
+    assert_allclose(batched, want, rtol=1e-14, atol=0.0)
+    # The start vector and the probe share the first solve.
+    assert shapes["batched"] == [(n, 2)] + shapes["one_column"][1:-1]
