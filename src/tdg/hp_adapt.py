@@ -97,17 +97,19 @@ def decide_and_refine(mesh, marks, records, config, plan=None):
 def enforce_degree_compatibility(mesh):
     """Raise degrees until adjacent elements differ by at most one.
 
-    Only ever raises the lower side, so p-refinement decisions are never
-    undone; terminates because degrees are bounded by the current maximum.
+    Sweeps the interior (side_a, side_b) pairs of the skeleton columns in
+    skeleton order until a sweep changes nothing.  Only ever raises the
+    lower side, so p-refinement decisions are never undone; terminates
+    because degrees are bounded by the current maximum.
     """
+    skeleton = mesh.facets()
+    interior = skeleton.side_b >= 0
+    pairs = list(zip(skeleton.side_a[interior].tolist(), skeleton.side_b[interior].tolist()))
     changed = True
     while changed:
         changed = False
-        for facet in mesh.facets():
-            if facet.is_boundary:
-                continue
-            el_a = mesh.elements[facet.side_a]
-            el_b = mesh.elements[facet.side_b]
+        for a, b in pairs:
+            el_a, el_b = mesh.elements[a], mesh.elements[b]
             if el_a.degree - el_b.degree > 1:
                 el_b.degree = el_a.degree - 1
                 changed = True

@@ -166,33 +166,26 @@ class Element:
 
 
 @dataclass(frozen=True)
-class Facet:
-    """Skeleton facet at the finer of the two adjacent resolutions.
+class Skeleton:
+    """Mesh facets as columns, one row per facet in skeleton order.
 
-    `normal` points out of side_a.  side_b is an element id on interior
-    facets and a boundary tag string on boundary facets.
+    A facet lies on a face of side_a at the finer of the two adjacent
+    resolutions; `normal` (F, d) points out of side_a along `axis`.  On
+    boundary facets side_b is -1 and `tag` the boundary tag; on interior
+    facets side_b is the element id and `tag` is "".  lo and hi (F, d) are
+    the facet's corners, equal along its axis.
     """
 
-    axis: int
-    side_a: int
-    side_b: object
+    axis: np.ndarray
+    side_a: np.ndarray
+    side_b: np.ndarray
+    tag: np.ndarray
     normal: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    level: int
 
-    @property
-    def is_boundary(self):
-        return isinstance(self.side_b, str)
-
-    @property
-    def measure(self):
-        ext = self.hi - self.lo
-        return float(np.prod(ext[np.arange(len(ext)) != self.axis]))
-
-    @property
-    def diameter(self):
-        return float(np.linalg.norm(self.hi - self.lo))
+    def __len__(self):
+        return len(self.axis)
 
 
 class Mesh:
@@ -340,25 +333,28 @@ def refine_elements(mesh, marked, raise_degree=()):
 
 
 def skeleton_facets(mesh):
-    """All mesh facets, interior ones emitted once at the finer resolution.
+    """The mesh Skeleton, interior facets emitted once at the finer resolution.
 
     Deterministic order: by owning element id, then axis, then facing
     direction.  For an equal-level pair the lower id owns the facet.
     """
-    facets = []
-    for eid in mesh.element_ids():
+    ids = mesh.element_ids()
+    rows = []
+    for row, eid in enumerate(ids):
         el = mesh.elements[eid]
         for axis, direction in itertools.product(range(el.dim), (-1, 1)):
             kind, other = mesh._neighbour(el.level, el.cell, axis, direction)
             # finer neighbors emit the sub-facets; the lower id owns a pair
             if kind == "finer" or (kind == "leaf" and other < eid):
                 continue
-            if kind == "boundary":
-                other = mesh.domain.tag_for_side(other)
-            normal = np.zeros(el.dim)
-            normal[axis] = float(direction)
-            f_lo = el.lo.copy()
-            f_hi = el.hi.copy()
-            f_lo[axis] = f_hi[axis] = el.hi[axis] if direction > 0 else el.lo[axis]
-            facets.append(Facet(axis, eid, other, normal, f_lo, f_hi, el.level))
-    return facets
+            tag = mesh.domain.tag_for_side(other) if kind == "boundary" else ""
+            rows.append((row, axis, direction, -1 if tag else other, tag))
+    row, axis, direction, side_b, tag = (np.array(column) for column in zip(*rows))
+    f = np.arange(len(row))
+    lo = np.array([mesh.elements[eid].lo for eid in ids])[row]
+    hi = np.array([mesh.elements[eid].hi for eid in ids])[row]
+    lo[f, axis] = hi[f, axis] = np.where(direction > 0, hi[f, axis], lo[f, axis])
+    normal = np.zeros(lo.shape)
+    normal[f, axis] = direction
+    return Skeleton(axis=axis, side_a=np.array(ids)[row], side_b=side_b, tag=tag,
+                    normal=normal, lo=lo, hi=hi)

@@ -9,13 +9,15 @@ waves oscillate with phase up to c = k*h across the region, and n-point
 Gauss-Legendre resolves e^{ict} to 1e-12 only once n exceeds roughly
 0.68*c + 10 (measured), after which the error drops superexponentially.
 
-Every skeleton pass (assembly and estimator) walks the same grouping,
-skeleton_batches: facets sharing a point count, normal axis and side wave
-counts, and on the boundary a tag and a normal, form one FacetBatch, cut
-to at most BATCH_VALUES complex values wide.  A batch's rules come from
-one tensor construction with each facet's own arithmetic, so they equal
-facet_rule point for point; FacetBatch.axis_rule gives their per-axis
-nodes and weights, on which plane-wave traces factor (basis.eval_traces).
+mesh.facets() is the skeleton as columns, one row per facet (axis, side
+ids, tag, normal, lo, hi).  Every skeleton pass (assembly and estimator)
+walks one grouping of those columns, skeleton_batches: facets sharing a
+point count, normal axis and side wave counts, and on the boundary a tag
+and a normal, form one FacetBatch, cut to at most BATCH_VALUES complex
+values wide.  A batch builds its per-axis nodes and weights once
+(FacetBatch.axis_rule), on which plane-wave traces factor
+(basis.eval_traces); its tensor rule uses each facet's own arithmetic, so
+it equals facet_rule point for point.
 
 A product of two plane waves integrates in closed form over an
 axis-aligned box: box_gram, a phase times one L sinc(a L / 2) factor per
@@ -25,7 +27,7 @@ need no points at all.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,24 +90,23 @@ def _facet_nodes(lo, hi, axis, n):
     return nodes, half[:, np.arange(lo.shape[1]) != axis, None] * w
 
 
-def _facet_points(lo, hi, axis, n):
-    """n**(d-1)-point tensor Gauss rules on F facets: points (F, m, d), weights (F, m)."""
-    nodes, weights = _facet_nodes(lo, hi, axis, n)
-    tangential = np.arange(lo.shape[1]) != axis
+def _facet_points(nodes, weights, axis):
+    """Tensor rules (points (F, m, d), weights (F, m)) on the per-axis nodes of _facet_nodes."""
+    tangential = np.arange(nodes.shape[1]) != axis
     pts_t, wts = _tensor_points(nodes[:, tangential], weights)
-    pts = np.repeat(lo[:, None], pts_t.shape[1], axis=1)
+    pts = np.repeat(nodes[:, None, :, 0], pts_t.shape[1], axis=1)
     pts[:, :, tangential] = pts_t
     return pts, wts
 
 
-def facet_rule(facet, k_max, q_max):
-    """Tensor Gauss rule on one axis-aligned facet.
+def facet_rule(lo, hi, axis, k_max, q_max):
+    """Tensor Gauss rule on one axis-aligned facet with corners lo, hi (d,) and normal axis.
 
     points_per_direction(q_max, k_max, facet diameter) points per tangential
     axis; point for point the rule FacetBatch.rule builds for the facet.
     """
-    n = points_per_direction(q_max, k_max, facet.diameter)
-    pts, wts = _facet_points(facet.lo[None], facet.hi[None], facet.axis, n)
+    n = points_per_direction(q_max, k_max, float(np.linalg.norm(hi - lo)))
+    pts, wts = _facet_points(*_facet_nodes(lo[None], hi[None], axis, n), axis)
     return QuadratureRule(points=pts[0], weights=wts[0])
 
 
@@ -134,64 +135,61 @@ class FacetBatch:
     def is_boundary(self):
         return isinstance(self.side_b, str)
 
+    @cached_property
+    def _nodes(self):
+        return _facet_nodes(self.lo, self.hi, self.axis, self.n)
+
     def rule(self):
         """Gauss points (F, m, d) and weights (F, m), facet by facet as facet_rule."""
-        return _facet_points(self.lo, self.hi, self.axis, self.n)
+        return _facet_points(*self._nodes, self.axis)
 
     def axis_rule(self):
         """Per-axis nodes (F, d, n) and tangential weights (F, d-1, n) of rule()."""
-        return _facet_nodes(self.lo, self.hi, self.axis, self.n)
+        return self._nodes
 
 
 def skeleton_batches(mesh):
-    """mesh.facets() grouped into FacetBatches, the one grouping of every skeleton pass.
+    """The columns of mesh.facets() grouped into FacetBatches, for every skeleton pass.
 
     A facet gets points_per_direction(q_max, k_max, diameter) points per
     tangential axis at the larger degree and wavenumber of its sides.
     Groups are keyed by boundary tag (interior first), point count, normal
-    axis, normal sign (boundary only) and the sides' wave counts, and come
-    in sorted key order.  A group is cut into batches of at most
-    BATCH_VALUES // (m * (p_a + p_b)) facets, at least one, with m points
-    per facet; the batches are yielded one at a time, so a pass never holds
-    more than one batch's rules and traces.
+    axis, normal sign (boundary only) and the sides' wave counts; one stable
+    np.lexsort over the key columns puts them in sorted key order with each
+    group's facets in skeleton order.  A group is cut into batches of at
+    most BATCH_VALUES // (m * (p_a + p_b)) facets, at least one, with m
+    points per facet; the batches are yielded one at a time, so a pass never
+    holds more than one batch's rules and traces.
     """
-    facets = mesh.facets()
-    lo = np.array([facet.lo for facet in facets])
-    hi = np.array([facet.hi for facet in facets])
-    normal = np.array([facet.normal for facet in facets])
-    # Facet.diameter, evaluated once per distinct extent hi - lo.
-    extents, which = np.unique(hi - lo, axis=0, return_inverse=True)
+    skeleton = mesh.facets()
+    ids = np.array(mesh.element_ids())
+    elements = [mesh.elements[eid] for eid in ids.tolist()]
+    k = np.array([el.k for el in elements])
+    q = np.array([el.degree for el in elements])
+    p = np.array([el.n_waves for el in elements])
+    boundary = skeleton.side_b < 0
+    a = np.searchsorted(ids, skeleton.side_a)
+    b = np.where(boundary, a, np.searchsorted(ids, skeleton.side_b))
+    # The facet diameter, evaluated once per distinct extent hi - lo.
+    extents, which = np.unique(skeleton.hi - skeleton.lo, axis=0, return_inverse=True)
     diameter = np.array([float(np.linalg.norm(e)) for e in extents])[which.reshape(-1)]
-    side = {eid: (el.k, el.degree, el.n_waves) for eid, el in mesh.elements.items()}
-    side_b, k_max, q_max, keys = [], [], [], []
-    for facet in facets:
-        k_a, q_a, p_a = side[facet.side_a]
-        if facet.is_boundary:
-            k_b, q_b, p_b = k_a, q_a, 0
-            side_b.append(-1)
-            tag, sign = facet.side_b, int(facet.normal[facet.axis])
-        else:
-            k_b, q_b, p_b = side[facet.side_b]
-            side_b.append(facet.side_b)
-            tag, sign = "", 0
-        k_max.append(max(k_a, k_b))
-        q_max.append(max(q_a, q_b))
-        keys.append((tag, facet.axis, sign, p_a, p_b))
-    n_pts = points_per_direction(np.array(q_max), np.array(k_max), diameter)
-    groups = {}
-    for i, ((tag, *rest), n) in enumerate(zip(keys, n_pts.tolist())):
-        groups.setdefault((tag, n, *rest), []).append(i)
-    side_a = np.array([facet.side_a for facet in facets])
-    side_b = np.array(side_b)
-    for key in sorted(groups):
-        tag, n, axis, _, p_a, p_b = key
-        members = np.array(groups[key])
-        width = n ** (lo.shape[1] - 1) * (p_a + p_b)
+    n_pts = points_per_direction(np.maximum(q[a], q[b]), np.maximum(k[a], k[b]), diameter)
+    sign = np.where(boundary, skeleton.normal.sum(axis=1), 0.0).astype(int)
+    tags, tag_code = np.unique(skeleton.tag, return_inverse=True)
+    keys = np.stack([tag_code, n_pts, skeleton.axis, sign, p[a], np.where(boundary, 0, p[b])])
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    cuts = np.flatnonzero(np.any(keys[:, 1:] != keys[:, :-1], axis=0)) + 1
+    firsts = keys[:, np.concatenate([[0], cuts])].T.tolist()
+    for members, (code, n, axis, _, p_a, p_b) in zip(np.split(order, cuts), firsts):
+        tag = str(tags[code])
+        width = n ** (mesh.dim - 1) * (p_a + p_b)
         size = max(1, BATCH_VALUES // width)
         for start in range(0, len(members), size):
             sl = members[start:start + size]
-            yield FacetBatch(side_a=side_a[sl], side_b=tag or side_b[sl], normal=normal[sl],
-                             lo=lo[sl], hi=hi[sl], axis=axis, n=n, p_a=p_a, p_b=p_b)
+            yield FacetBatch(side_a=skeleton.side_a[sl], side_b=tag or skeleton.side_b[sl],
+                             normal=skeleton.normal[sl], lo=skeleton.lo[sl], hi=skeleton.hi[sl],
+                             axis=axis, n=n, p_a=p_a, p_b=p_b)
 
 
 def box_gram(lo, hi, kd_t, centre_t, kd_r, centre_r):

@@ -454,10 +454,10 @@ def test_criterion_8_quadrature_special_function_and_trefftz_oracles():
     problem = ProblemSpec(kind="plane_wave", domain=domain, k=10.0,
                           direction=(1.0, 0.0))
     mesh = build_initial_mesh(domain, 1, problem.wavenumber_field(), 3)
-    bottom = next(f for f in mesh.facets()
-                  if f.is_boundary and f.axis == 1 and f.lo[1] == 0.0)
+    facets = mesh.facets()
+    (bottom,) = np.flatnonzero((facets.side_b < 0) & (facets.axis == 1) & (facets.lo[:, 1] == 0.0))
     for k in (5.0, 20.0, 40.0):
-        rule = facet_rule(bottom, k, 9)
+        rule = facet_rule(facets.lo[bottom], facets.hi[bottom], 1, k, 9)
         numeric = np.sum(rule.weights * np.exp(2j * k * rule.points[:, 0]))
         exact = (np.exp(2j * k) - 1.0) / (2j * k)
         if abs(numeric - exact) > 1e-12:

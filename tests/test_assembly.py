@@ -122,7 +122,9 @@ def test_blocks_follow_mesh_adjacency():
     problem = _plane_problem("unit_square", (1.0, 0.0))
     mesh = _mesh_for(problem, 2, 3)
     system = assemble_system(mesh, problem)
-    neighbours = {(f.side_a, f.side_b) for f in mesh.facets() if not f.is_boundary}
+    facets = mesh.facets()
+    interior = facets.side_b >= 0
+    neighbours = set(zip(facets.side_a[interior].tolist(), facets.side_b[interior].tolist()))
     for test_id, trial_id in system.blocks:
         if test_id != trial_id:
             assert (test_id, trial_id) in neighbours or (
@@ -192,17 +194,19 @@ def _reference_system(mesh, problem, params=PenaltyParams()):
     system = assemble_system(mesh, problem, params)  # for the dof layout only
     blocks, rhs = {}, np.zeros_like(system.rhs)
     alpha, beta, delta = params.alpha, params.beta, params.delta
-    for facet in mesh.facets():
-        el_a = mesh.elements[facet.side_a]
-        sides = [el_a] if facet.is_boundary else [el_a, mesh.elements[facet.side_b]]
-        rule = facet_rule(facet, max(el.k for el in sides), max(el.degree for el in sides))
+    facets = mesh.facets()
+    for f, (side_b, tag) in enumerate(zip(facets.side_b.tolist(), facets.tag.tolist())):
+        el_a = mesh.elements[facets.side_a[f]]
+        sides = [el_a] if side_b < 0 else [el_a, mesh.elements[side_b]]
+        rule = facet_rule(facets.lo[f], facets.hi[f], facets.axis[f],
+                          max(el.k for el in sides), max(el.degree for el in sides))
         w = rule.weights[:, None]
-        traces = [eval_basis_derivative(el, rule.points, facet.normal) for el in sides]
-        if facet.is_boundary:
+        traces = [eval_basis_derivative(el, rule.points, facets.normal[f]) for el in sides]
+        if side_b < 0:
             ((v, g),) = traces
-            data = rule.weights * problem.boundary_data(facet.side_b, rule.points, facet.normal)
+            data = rule.weights * problem.boundary_data(tag, rule.points, facets.normal[f])
             vc, gc = v.conj().T, g.conj().T
-            if facet.side_b == ROBIN:
+            if tag == ROBIN:
                 ikt = 1j * el_a.k * problem.impedance_sign
                 mat = (1.0 - delta) * (gc @ (w * v) + ikt * (vc @ (w * v))) - delta * (
                     (gc @ (w * g)) / ikt + vc @ (w * g))
@@ -254,6 +258,7 @@ def test_closed_form_blocks_match_on_transmission_facets():
     problem = ProblemSpec(kind="transmission", domain=domain, omega=8.0, index_below=1.0,
                           index_above=1.5, incidence_deg=40.0)
     mesh = refine_elements(_mesh_for(problem, 4, 3), [5])
-    assert any(mesh.elements[f.side_a].k != mesh.elements[f.side_b].k
-               for f in mesh.facets() if not f.is_boundary)
+    facets = mesh.facets()
+    assert any(mesh.elements[a].k != mesh.elements[b].k
+               for a, b in zip(facets.side_a.tolist(), facets.side_b.tolist()) if b >= 0)
     _assert_matches_reference(mesh, problem)

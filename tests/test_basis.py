@@ -344,7 +344,9 @@ def test_2d_traces_equal_pointwise_plane_waves_bit_for_bit():
 def test_3d_trace_factors_match_eval_basis_on_facet_rules():
     mesh = _trace_mesh("unit_cube", 2, [0, 3])
     waves = WaveTable(mesh.elements)
-    facets = {(f.side_a, tuple(f.lo), tuple(f.hi)): f for f in mesh.facets()}
+    facets = mesh.facets()
+    rows = {key: f for f, key in enumerate(zip(facets.side_a.tolist(), map(tuple, facets.lo),
+                                                map(tuple, facets.hi)))}
     normals, hanging = set(), 0
     for batch in skeleton_batches(mesh):
         axis_points, _ = batch.axis_rule()
@@ -353,16 +355,17 @@ def test_3d_trace_factors_match_eval_basis_on_facet_rules():
             (f0, f1), dn = eval_traces(kd, centroids, axis_points, batch.axis, batch.normal)
             values = (f0[:, :, None, :] * f1[:, None, :, :]).reshape(len(ids), -1, p)
             for j, eid in enumerate(ids.tolist()):
-                facet = facets[batch.side_a[j], tuple(batch.lo[j]), tuple(batch.hi[j])]
-                sides = [facet.side_a] + ([] if facet.is_boundary else [facet.side_b])
+                f = rows[batch.side_a[j], tuple(batch.lo[j]), tuple(batch.hi[j])]
+                axis, side_b, normal = facets.axis[f], facets.side_b[f], facets.normal[f]
+                sides = [facets.side_a[f]] + ([] if side_b < 0 else [side_b])
                 k_max = max(mesh.elements[s].k for s in sides)
                 q_max = max(mesh.elements[s].degree for s in sides)
-                rule = facet_rule(facet, k_max, q_max)
-                want, dwant = eval_basis_derivative(mesh.elements[eid], rule.points, facet.normal)
+                rule = facet_rule(facets.lo[f], facets.hi[f], axis, k_max, q_max)
+                want, dwant = eval_basis_derivative(mesh.elements[eid], rule.points, normal)
                 assert_allclose(values[j], want, rtol=0.0, atol=1e-13)
                 assert_allclose(values[j] * dn[j], dwant, rtol=0.0, atol=1e-13 * 17.0)
-                normals.add((facet.axis, int(facet.normal[facet.axis])))
-                hanging += not facet.is_boundary and (
-                    facet.level != mesh.elements[facet.side_b].level)
+                normals.add((int(axis), int(normal[axis])))
+                hanging += bool(side_b >= 0) and (
+                    mesh.elements[sides[0]].level != mesh.elements[side_b].level)
     assert normals == {(axis, sign) for axis in range(3) for sign in (-1, 1)}
     assert hanging > 0

@@ -186,16 +186,19 @@ def test_indicator_order_and_nonnegativity():
 def _reference_components(mesh, solution, problem, params=PenaltyParams()):
     """Weighted (jump_u, jump_gradu, robin, dirichlet) per element id, one facet at a time."""
     raw = {eid: np.zeros(4) for eid in mesh.elements}
-    for facet in mesh.facets():
-        el_a = mesh.elements[facet.side_a]
-        sides = [el_a] if facet.is_boundary else [el_a, mesh.elements[facet.side_b]]
-        rule = facet_rule(facet, max(el.k for el in sides), max(el.degree for el in sides))
+    facets = mesh.facets()
+    for f, (side_b, tag) in enumerate(zip(facets.side_b.tolist(), facets.tag.tolist())):
+        el_a = mesh.elements[facets.side_a[f]]
+        sides = [el_a] if side_b < 0 else [el_a, mesh.elements[side_b]]
+        rule = facet_rule(facets.lo[f], facets.hi[f], facets.axis[f],
+                          max(el.k for el in sides), max(el.degree for el in sides))
         w = rule.weights
-        traces = [solution.value_and_derivative(el, rule.points, facet.normal) for el in sides]
-        if facet.is_boundary:
+        normal = facets.normal[f]
+        traces = [solution.value_and_derivative(el, rule.points, normal) for el in sides]
+        if side_b < 0:
             ((u, gn),) = traces
-            data = problem.boundary_data(facet.side_b, rule.points, facet.normal)
-            if facet.side_b == ROBIN:
+            data = problem.boundary_data(tag, rule.points, normal)
+            if tag == ROBIN:
                 residual = data - (gn + 1j * el_a.k * problem.impedance_sign * u)
                 raw[el_a.id][2] += w @ np.abs(residual) ** 2
             else:
@@ -234,8 +237,10 @@ def _mixed_case(kind):
 def test_batched_indicators_match_per_facet_reference(kind):
     mesh, problem, solution = _mixed_case(kind)
     facets = mesh.facets()
-    assert any(f.level != mesh.elements[f.side_b].level for f in facets if not f.is_boundary)
-    assert {f.side_b for f in facets if f.is_boundary} == {ROBIN, DIRICHLET}
+    interior = facets.side_b >= 0
+    assert any(mesh.elements[a].level != mesh.elements[b].level for a, b in
+               zip(facets.side_a[interior].tolist(), facets.side_b[interior].tolist()))
+    assert set(facets.tag[~interior].tolist()) == {ROBIN, DIRICHLET}
     want = _reference_components(mesh, solution, problem)
     records = indicators(mesh, solution, problem)
     assert [r.element for r in records] == sorted(want)

@@ -25,10 +25,16 @@ def _record(eid, eta, eta_pred=math.inf):
                            robin=0.0, dirichlet=0.0, eta_pred=eta_pred)
 
 
-def _mesh(n=2, q0=3):
-    return build_initial_mesh(
-        DomainSpec(kind="unit_square"), n, ConstantWavenumber(20.0), q0
-    )
+def _mesh(n=2, q0=3, kind="unit_square"):
+    return build_initial_mesh(DomainSpec(kind=kind), n, ConstantWavenumber(20.0), q0)
+
+
+def _neighbours(mesh):
+    """The (side_a, side_b) element pairs of the interior facets."""
+    facets = mesh.facets()
+    interior = facets.side_b >= 0
+    return [(mesh.elements[a], mesh.elements[b]) for a, b in
+            zip(facets.side_a[interior].tolist(), facets.side_b[interior].tolist())]
 
 
 def test_adapt_config_defaults_and_validation():
@@ -248,11 +254,28 @@ def test_enforce_degree_compatibility_chain():
     enforce_degree_compatibility(mesh)
     degrees = [mesh.elements[column[i]].degree for i in range(3)]
     assert degrees == [3, 4, 5]
-    for f in mesh.facets():
-        if not f.is_boundary:
-            qa = mesh.elements[f.side_a].degree
-            qb = mesh.elements[f.side_b].degree
-            assert abs(qa - qb) <= 1
+    assert all(abs(el_a.degree - el_b.degree) <= 1 for el_a, el_b in _neighbours(mesh))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_enforce_degree_compatibility_3d_hanging(seed):
+    rng = np.random.default_rng(seed)
+    mesh = refine_elements(_mesh(n=2, kind="unit_cube"), [0, 5])
+    mesh = refine_elements(mesh, [mesh.element_ids()[3]])
+    assert any(el_a.level != el_b.level for el_a, el_b in _neighbours(mesh))
+    before = {eid: int(rng.integers(1, 7)) for eid in mesh.elements}
+    for eid, el in mesh.elements.items():
+        el.degree = before[eid]
+    enforce_degree_compatibility(mesh)
+    after = {eid: el.degree for eid, el in mesh.elements.items()}
+    pairs = _neighbours(mesh)
+    assert all(abs(el_a.degree - el_b.degree) <= 1 for el_a, el_b in pairs)
+    assert all(after[eid] >= before[eid] for eid in before)
+    raised = {eid for eid in before if after[eid] > before[eid]}
+    assert raised
+    for eid in raised:
+        across = [b if a.id == eid else a for a, b in pairs if eid in (a.id, b.id)]
+        assert any(after[eid] == el.degree - 1 for el in across)
 
 
 def test_enforce_degree_compatibility_noop():
@@ -281,12 +304,6 @@ def test_adapt_step_preserves_invariants(etas, mode):
     assert all(v >= 0.0 for v in predictions.values())
     total = sum(float(np.prod(el.hi - el.lo)) for el in new_mesh.elements.values())
     assert total == pytest.approx(1.0, abs=1e-12)
-    for f in new_mesh.facets():
-        if not f.is_boundary:
-            qa = new_mesh.elements[f.side_a].degree
-            qb = new_mesh.elements[f.side_b].degree
-            assert abs(qa - qb) <= 1
-        la = new_mesh.elements[f.side_a].level
-        if not f.is_boundary:
-            lb = new_mesh.elements[f.side_b].level
-            assert abs(la - lb) <= 1
+    for el_a, el_b in _neighbours(new_mesh):
+        assert abs(el_a.degree - el_b.degree) <= 1
+        assert abs(el_a.level - el_b.level) <= 1

@@ -23,6 +23,21 @@ def _mesh(kind="unit_square", n=4, k=20.0, q0=3, boundary=None):
     return build_initial_mesh(domain, n, ConstantWavenumber(k), q0)
 
 
+def _measures(facets):
+    """Facet areas (F,) from the lo/hi columns: the product of the tangential extents."""
+    extents = facets.hi - facets.lo
+    extents[np.arange(len(facets)), facets.axis] = 1.0
+    return np.prod(extents, axis=1)
+
+
+def _assert_one_level_apart(mesh):
+    facets = mesh.facets()
+    interior = facets.side_b >= 0
+    levels = [[mesh.elements[eid].level for eid in side[interior].tolist()]
+              for side in (facets.side_a, facets.side_b)]
+    assert np.all(np.abs(np.subtract(*levels)) <= 1)
+
+
 @pytest.mark.parametrize(
     "kind,n,expected",
     [
@@ -87,40 +102,36 @@ def test_3d_wave_count():
 def test_facet_counts_4x4():
     mesh = _mesh(n=4)
     facets = mesh.facets()
-    interior = [f for f in facets if not f.is_boundary]
-    boundary = [f for f in facets if f.is_boundary]
-    assert len(interior) == 24
-    assert len(boundary) == 16
-    assert all(f.side_b == ROBIN for f in boundary)
+    boundary = facets.side_b < 0
+    assert len(facets) == 40
+    assert np.count_nonzero(~boundary) == 24
+    assert facets.tag[boundary].tolist() == [ROBIN] * 16
+    assert facets.tag[~boundary].tolist() == [""] * 24
 
 
 def test_boundary_partition_overrides():
     mesh = _mesh(n=2, boundary={"all": ROBIN, "xmin": DIRICHLET})
-    tags = {}
-    for f in mesh.facets():
-        if f.is_boundary:
-            tags.setdefault(f.side_b, 0)
-            tags[f.side_b] += 1
-    assert tags == {ROBIN: 6, DIRICHLET: 2}
+    facets = mesh.facets()
+    tags, counts = np.unique(facets.tag[facets.side_b < 0], return_counts=True)
+    assert dict(zip(tags.tolist(), counts.tolist())) == {ROBIN: 6, DIRICHLET: 2}
 
 
 def test_reentrant_tagging():
     mesh = _mesh(kind="l_shape", n=2, boundary={"all": ROBIN, "reentrant": DIRICHLET})
-    reentrant = [
-        f for f in mesh.facets() if f.is_boundary and f.side_b == DIRICHLET
-    ]
+    facets = mesh.facets()
+    reentrant = np.flatnonzero(facets.tag == DIRICHLET)
     # The two unit facets meeting at the reentrant corner (origin).
     assert len(reentrant) == 2
     for f in reentrant:
-        assert np.allclose(f.lo, 0.0) or np.allclose(f.hi, 0.0)
+        assert np.allclose(facets.lo[f], 0.0) or np.allclose(facets.hi[f], 0.0)
 
 
 def test_facet_normals_point_out_of_side_a():
     mesh = _mesh(n=2)
-    for f in mesh.facets():
-        el = mesh.elements[f.side_a]
-        center = 0.5 * (f.lo + f.hi)
-        assert np.dot(center - el.centroid, f.normal) > 0.0
+    facets = mesh.facets()
+    centroids = np.array([mesh.elements[eid].centroid for eid in facets.side_a.tolist()])
+    center = 0.5 * (facets.lo + facets.hi)
+    assert np.all(np.einsum("fd,fd->f", center - centroids, facets.normal) > 0.0)
 
 
 def test_refine_returns_new_mesh():
@@ -149,17 +160,15 @@ def test_refine_unknown_id_raises():
 def test_nonconforming_facets_split_at_finer_level():
     mesh = _mesh(n=2)
     refined = refine_elements(mesh, [0])
+    facets = refined.facets()
     fine_on_coarse = [
         f
-        for f in refined.facets()
-        if not f.is_boundary
-        and {refined.elements[f.side_a].level, refined.elements[f.side_b].level}
-        == {0, 1}
+        for f, (a, b) in enumerate(zip(facets.side_a.tolist(), facets.side_b.tolist()))
+        if b >= 0 and {refined.elements[a].level, refined.elements[b].level} == {0, 1}
     ]
     # Two half-facets against each of the two level-0 neighbors.
     assert len(fine_on_coarse) == 4
-    for f in fine_on_coarse:
-        assert f.measure == pytest.approx(0.25)
+    assert_allclose(_measures(facets)[fine_on_coarse], 0.25)
 
 
 def test_closure_keeps_one_level_difference():
@@ -174,24 +183,16 @@ def test_closure_keeps_one_level_difference():
     # Splitting the grandchild that faces the coarse neighbors forces
     # those level-0 elements to split too.
     assert len(mesh.last_refined) > 1
-    for f in mesh.facets():
-        if not f.is_boundary:
-            la = mesh.elements[f.side_a].level
-            lb = mesh.elements[f.side_b].level
-            assert abs(la - lb) <= 1
+    _assert_one_level_apart(mesh)
 
 
 def test_skeleton_partitions_interface_area():
     mesh = refine_elements(_mesh(n=2), [0, 3])
-    by_el = {eid: [] for eid in mesh.elements}
-    for f in mesh.facets():
-        by_el[f.side_a].append(f)
-        if not f.is_boundary:
-            by_el[f.side_b].append(f)
+    facets = mesh.facets()
+    measures = _measures(facets)
     for eid, el in mesh.elements.items():
-        per_axis = {}
-        for f in by_el[eid]:
-            per_axis[f.axis] = per_axis.get(f.axis, 0.0) + f.measure
+        touches = (facets.side_a == eid) | (facets.side_b == eid)
+        per_axis = np.bincount(facets.axis[touches], measures[touches])
         side = el.hi[0] - el.lo[0]
         # Facets normal to each axis tile both opposing faces exactly.
         for axis in range(el.dim):
@@ -207,11 +208,7 @@ def test_refinement_preserves_invariants(picks):
         mesh = refine_elements(mesh, [ids[pick % len(ids)]])
     total = sum(np.prod(el.hi - el.lo) for el in mesh.elements.values())
     assert total == pytest.approx(1.0, abs=1e-12)
-    for f in mesh.facets():
-        if not f.is_boundary:
-            la = mesh.elements[f.side_a].level
-            lb = mesh.elements[f.side_b].level
-            assert abs(la - lb) <= 1
+    _assert_one_level_apart(mesh)
 
 
 def test_3d_refinement_counts_and_closure():
@@ -225,11 +222,7 @@ def test_3d_refinement_counts_and_closure():
         if el.level == 1 and np.allclose(el.lo, 0.0)
     )
     deeper = refine_elements(refined, [grand])
-    for f in deeper.facets():
-        if not f.is_boundary:
-            la = deeper.elements[f.side_a].level
-            lb = deeper.elements[f.side_b].level
-            assert abs(la - lb) <= 1
+    _assert_one_level_apart(deeper)
 
 
 def _reference_skeleton(mesh):
@@ -237,7 +230,8 @@ def _reference_skeleton(mesh):
 
     Every boundary face, and every pair of leaves sharing a face of positive
     area, once: on the finer leaf's face, the lower id owning equal-level
-    pairs; ordered by (owner id, axis, direction).
+    pairs; ordered by (owner id, axis, direction).  A boundary facet's other
+    side is its tag.
     """
     domain, dim = mesh.domain, mesh.dim
     boxes = {eid: (el.lo.tolist(), el.hi.tolist()) for eid, el in mesh.elements.items()}
@@ -245,7 +239,6 @@ def _reference_skeleton(mesh):
     facets = []
     for a, (alo, ahi) in sorted(boxes.items()):
         size = ahi[0] - alo[0]
-        level = round(np.log2(domain.extent / mesh.n0 / size))
         for axis in range(dim):
             for direction in (-1, 1):
                 face = ahi[axis] if direction > 0 else alo[axis]
@@ -273,7 +266,7 @@ def _reference_skeleton(mesh):
                 normal = tuple(float(direction) if i == axis else 0.0 for i in range(dim))
                 lo = tuple(face if i == axis else alo[i] for i in range(dim))
                 hi = tuple(face if i == axis else ahi[i] for i in range(dim))
-                facets.append((axis, a, other, normal, lo, hi, level))
+                facets.append((axis, a, other, normal, lo, hi))
     return facets
 
 
@@ -295,9 +288,12 @@ def test_skeleton_matches_geometric_reference(kind, steps):
     for picks in steps:
         ids = mesh.element_ids()
         mesh = refine_elements(mesh, [ids[p % len(ids)] for p in picks])
-    facets = [
-        (f.axis, f.side_a, f.side_b, tuple(f.normal.tolist()),
-         tuple(f.lo.tolist()), tuple(f.hi.tolist()), f.level)
-        for f in skeleton_facets(mesh)
-    ]
+    skeleton = skeleton_facets(mesh)
+    facets = list(zip(
+        skeleton.axis.tolist(), skeleton.side_a.tolist(),
+        [b if b >= 0 else tag for b, tag in zip(skeleton.side_b.tolist(), skeleton.tag.tolist())],
+        map(tuple, skeleton.normal.tolist()), map(tuple, skeleton.lo.tolist()),
+        map(tuple, skeleton.hi.tolist()),
+    ))
+    assert len(skeleton) == len(facets)
     assert facets == _reference_skeleton(mesh)

@@ -5,9 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tdg.basis import element_directions, eval_basis, frame_from_direction
-from tdg.mesh import DomainSpec, InterfaceWavenumber, build_initial_mesh, refine_elements
+from tdg.mesh import (
+    DIRICHLET,
+    ROBIN,
+    DomainSpec,
+    InterfaceWavenumber,
+    build_initial_mesh,
+    refine_elements,
+)
 from tdg.problems import ConstantWavenumber
 from tdg.quadrature import (
+    BATCH_VALUES,
     _gauss_nodes,
     box_gram,
     facet_rule,
@@ -17,9 +25,25 @@ from tdg.quadrature import (
 )
 
 
-def _mesh(n=1, k=10.0, q0=3, kind="unit_square"):
-    domain = DomainSpec(kind=kind)
+def _mesh(n=1, k=10.0, q0=3, kind="unit_square", boundary=None):
+    domain = DomainSpec(kind=kind, boundary_partition=boundary or {"all": ROBIN})
     return build_initial_mesh(domain, n, ConstantWavenumber(k), q0)
+
+
+def _measure(facets, f):
+    """Area of facet f: the product of its tangential extents."""
+    return float(np.prod(np.delete(facets.hi[f] - facets.lo[f], facets.axis[f])))
+
+
+def _interior(facets):
+    return np.flatnonzero(facets.side_b >= 0).tolist()
+
+
+def _hanging(mesh):
+    """Whether some interior facet joins elements of different levels."""
+    facets = mesh.facets()
+    return any(mesh.elements[facets.side_a[f]].level != mesh.elements[facets.side_b[f]].level
+               for f in _interior(facets))
 
 
 def test_gauss_weights_sum_to_interval():
@@ -63,9 +87,9 @@ def test_facet_rule_oscillatory_closed_form(k):
     # One element on (0,1)^2; bottom facet carries exp(i 2k x) whose
     # integral over [0,1] is (exp(2ik) - 1) / (2ik).
     mesh = _mesh(k=k, q0=4)
-    bottom = [f for f in mesh.facets() if f.is_boundary and f.axis == 1 and f.lo[1] == 0.0]
-    assert len(bottom) == 1
-    rule = facet_rule(bottom[0], 2.0 * k, 4)
+    facets = mesh.facets()
+    (bottom,) = np.flatnonzero((facets.side_b < 0) & (facets.axis == 1) & (facets.lo[:, 1] == 0.0))
+    rule = facet_rule(facets.lo[bottom], facets.hi[bottom], 1, 2.0 * k, 4)
     integrand = np.exp(2j * k * rule.points[:, 0])
     approx = np.sum(rule.weights * integrand)
     exact = (np.exp(2j * k) - 1.0) / (2j * k)
@@ -106,9 +130,10 @@ def test_facet_rule_doubling_consistency():
     # Doubling the requested degree must not change a converged integral.
     k = 30.0
     mesh = _mesh(k=k, q0=3)
-    facet = next(f for f in mesh.facets() if f.axis == 0)
-    coarse = facet_rule(facet, k, 3)
-    fine = facet_rule(facet, 2.0 * k, 12)
+    facets = mesh.facets()
+    f = np.flatnonzero(facets.axis == 0)[0]
+    coarse = facet_rule(facets.lo[f], facets.hi[f], 0, k, 3)
+    fine = facet_rule(facets.lo[f], facets.hi[f], 0, 2.0 * k, 12)
     integrand = lambda pts: np.exp(1j * k * (0.8 * pts[:, 0] + 0.6 * pts[:, 1]))
     a = np.sum(coarse.weights * integrand(coarse.points))
     b = np.sum(fine.weights * integrand(fine.points))
@@ -117,10 +142,11 @@ def test_facet_rule_doubling_consistency():
 
 def test_facet_rule_sits_on_facet_plane():
     mesh = _mesh(n=2, k=10.0)
-    for facet in mesh.facets():
-        rule = facet_rule(facet, 10.0, 3)
-        assert_allclose(rule.points[:, facet.axis], facet.lo[facet.axis], atol=0.0)
-        assert rule.weights.sum() == pytest.approx(facet.measure, abs=1e-14)
+    facets = mesh.facets()
+    for f, axis in enumerate(facets.axis.tolist()):
+        rule = facet_rule(facets.lo[f], facets.hi[f], axis, 10.0, 3)
+        assert_allclose(rule.points[:, axis], facets.lo[f, axis], atol=0.0)
+        assert rule.weights.sum() == pytest.approx(_measure(facets, f), abs=1e-14)
 
 
 # Reference: the per-facet meshgrid construction the batched rules replaced.
@@ -140,15 +166,15 @@ def _axis_rule(lo, hi, ax, x, w):
     return mid + half * x, half * w
 
 
-def _reference_facet_rule(facet, k_max, q_max):
-    x, w = _gauss_nodes(points_per_direction(q_max, k_max, facet.diameter))
-    dim = facet.lo.shape[0]
-    tangential = [ax for ax in range(dim) if ax != facet.axis]
+def _reference_facet_rule(lo, hi, axis, k_max, q_max):
+    x, w = _gauss_nodes(points_per_direction(q_max, k_max, float(np.linalg.norm(hi - lo))))
+    dim = lo.shape[0]
+    tangential = [ax for ax in range(dim) if ax != axis]
     pts_t, wts = _meshgrid_tensor(
-        [_axis_rule(facet.lo, facet.hi, ax, x, w) for ax in tangential]
+        [_axis_rule(lo, hi, ax, x, w) for ax in tangential]
     )
     pts = np.empty((pts_t.shape[0], dim))
-    pts[:, facet.axis] = facet.lo[facet.axis]
+    pts[:, axis] = lo[axis]
     pts[:, tangential] = pts_t
     return pts, wts
 
@@ -160,8 +186,8 @@ def _reference_volume_rule(element):
     )
 
 
-def _hp_mesh(kind, n, marked):
-    mesh = refine_elements(_mesh(n=n, k=17.0, q0=2, kind=kind), marked)
+def _hp_mesh(kind, n, marked, boundary=None):
+    mesh = refine_elements(_mesh(n=n, k=17.0, q0=2, kind=kind, boundary=boundary), marked)
     for eid, el in mesh.elements.items():
         el.degree = 2 + eid % 3
     return mesh
@@ -173,34 +199,101 @@ def _hp_mesh(kind, n, marked):
 def test_batched_facet_rules_equal_meshgrid_reference(kind, n, marked):
     mesh = _hp_mesh(kind, n, marked)
     facets = mesh.facets()
-    levels = {(f.level, mesh.elements[f.side_b].level) for f in facets if not f.is_boundary}
+    levels = {(mesh.elements[facets.side_a[f]].level, mesh.elements[facets.side_b[f]].level)
+              for f in _interior(facets)}
     assert (1, 0) in levels  # hanging facets: finer side_a, coarser side_b
-    assert any(f.is_boundary for f in facets)
-    by_box = {(f.side_a, tuple(f.lo), tuple(f.hi)): f for f in facets}
+    assert np.any(facets.side_b < 0)
+    rows = _rows_by_box(facets)
     seen = []
     for batch in skeleton_batches(mesh):
         points, weights = batch.rule()
-        for j, key in enumerate(zip(batch.side_a.tolist(), map(tuple, batch.lo),
-                                    map(tuple, batch.hi))):
-            facet = by_box[key]
-            seen.append(facet)
-            assert batch.axis == facet.axis
-            assert np.array_equal(batch.normal[j], facet.normal)
-            if facet.is_boundary:
-                assert batch.side_b == facet.side_b
+        for j, f in enumerate(_batch_rows(rows, batch)):
+            seen.append(f)
+            lo, hi, axis, side_b = facets.lo[f], facets.hi[f], facets.axis[f], facets.side_b[f]
+            assert batch.axis == axis
+            assert np.array_equal(batch.normal[j], facets.normal[f])
+            if side_b < 0:
+                assert batch.side_b == facets.tag[f]
             else:
-                assert batch.side_b[j] == facet.side_b
-            el_a = mesh.elements[facet.side_a]
-            sides = [el_a] if facet.is_boundary else [el_a, mesh.elements[facet.side_b]]
+                assert batch.side_b[j] == side_b
+            el_a = mesh.elements[facets.side_a[f]]
+            sides = [el_a] if side_b < 0 else [el_a, mesh.elements[side_b]]
             k_max = max(el.k for el in sides)
             q_max = max(el.degree for el in sides)
-            pts, wts = _reference_facet_rule(facet, k_max, q_max)
+            pts, wts = _reference_facet_rule(lo, hi, axis, k_max, q_max)
             assert np.array_equal(points[j], pts)
             assert np.array_equal(weights[j], wts)
-            single = facet_rule(facet, k_max, q_max)
+            single = facet_rule(lo, hi, axis, k_max, q_max)
             assert np.array_equal(single.points, pts)
             assert np.array_equal(single.weights, wts)
-    assert sorted(map(id, seen)) == sorted(map(id, facets))
+    assert sorted(seen) == list(range(len(facets)))
+
+
+def _rows_by_box(facets):
+    """Skeleton row of each facet, keyed by (side_a, lo, hi)."""
+    keys = zip(facets.side_a.tolist(), map(tuple, facets.lo.tolist()),
+               map(tuple, facets.hi.tolist()))
+    return {key: f for f, key in enumerate(keys)}
+
+
+def _batch_rows(rows, batch):
+    keys = zip(batch.side_a.tolist(), map(tuple, batch.lo.tolist()), map(tuple, batch.hi.tolist()))
+    return [rows[key] for key in keys]
+
+
+def _reference_batches(mesh):
+    """(key, skeleton rows) per batch, by a dict over the facets and sorted keys."""
+    facets = mesh.facets()
+    groups = {}
+    for f in range(len(facets)):
+        axis, side_b = int(facets.axis[f]), int(facets.side_b[f])
+        el_a = mesh.elements[facets.side_a[f]]
+        sides = [el_a] if side_b < 0 else [el_a, mesh.elements[side_b]]
+        n = points_per_direction(max(el.degree for el in sides), max(el.k for el in sides),
+                                 float(np.linalg.norm(facets.hi[f] - facets.lo[f])))
+        sign = int(facets.normal[f, axis]) if side_b < 0 else 0
+        p_b = 0 if side_b < 0 else sides[1].n_waves
+        key = (str(facets.tag[f]), n, axis, sign, el_a.n_waves, p_b)
+        groups.setdefault(key, []).append(f)
+    batches = []
+    for key in sorted(groups):
+        _, n, _, _, p_a, p_b = key
+        size = max(1, BATCH_VALUES // (n ** (mesh.dim - 1) * (p_a + p_b)))
+        members = groups[key]
+        batches.extend((key, members[start:start + size])
+                       for start in range(0, len(members), size))
+    return batches
+
+
+@pytest.mark.parametrize("kind, n, marked, boundary, cut", [
+    ("unit_square", 4, [0, 5, 6], {"all": ROBIN, "xmin": DIRICHLET, "ymax": DIRICHLET}, False),
+    ("unit_cube", 2, [0, 3], {"all": ROBIN, "zmin": DIRICHLET}, True),
+], ids=["square", "cube"])
+def test_skeleton_batches_keep_the_sorted_dict_grouping(kind, n, marked, boundary, cut):
+    # The estimator's np.add.at sums follow this order, so it fixes their bits.
+    # 2D groups are far narrower than BATCH_VALUES; the 3D case cuts some.
+    mesh = _hp_mesh(kind, n, marked, boundary)
+    facets = mesh.facets()
+    assert _hanging(mesh)
+    assert set(facets.tag.tolist()) == {"", ROBIN, DIRICHLET}
+    assert len({mesh.elements[eid].degree for eid in mesh.elements}) == 3
+    rows = _rows_by_box(facets)
+    got = []
+    for batch in skeleton_batches(mesh):
+        members = _batch_rows(rows, batch)
+        sign = int(batch.normal[0, batch.axis]) if batch.is_boundary else 0
+        key = (batch.side_b if batch.is_boundary else "", batch.n, batch.axis, sign,
+               batch.p_a, batch.p_b)
+        got.append((key, members))
+        assert np.array_equal(batch.side_a, facets.side_a[members])
+        if not batch.is_boundary:
+            assert np.array_equal(batch.side_b, facets.side_b[members])
+        for column in ("normal", "lo", "hi"):
+            assert np.array_equal(getattr(batch, column), getattr(facets, column)[members])
+    want = _reference_batches(mesh)
+    assert got == want
+    keys = [key for key, _ in want]
+    assert (len(keys) > len(set(keys))) == cut
 
 
 @pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
@@ -235,15 +328,14 @@ def _closed_gram(lo, hi, el_t, el_r):
 def _assert_skeleton_grams(mesh):
     """All four side-pair blocks of every interior facet, to 1e-13 of its measure."""
     checked = 0
-    for facet in mesh.facets():
-        if facet.is_boundary:
-            continue
-        sides = (mesh.elements[facet.side_a], mesh.elements[facet.side_b])
+    facets = mesh.facets()
+    for f in _interior(facets):
+        sides = (mesh.elements[facets.side_a[f]], mesh.elements[facets.side_b[f]])
         for el_t in sides:
             for el_r in sides:
-                got = _closed_gram(facet.lo, facet.hi, el_t, el_r)
-                want = _gauss_gram(facet.lo, facet.hi, el_t, el_r)
-                assert np.max(np.abs(got - want)) <= 1e-13 * facet.measure
+                got = _closed_gram(facets.lo[f], facets.hi[f], el_t, el_r)
+                want = _gauss_gram(facets.lo[f], facets.hi[f], el_t, el_r)
+                assert np.max(np.abs(got - want)) <= 1e-13 * _measure(facets, f)
                 checked += 1
     return checked
 
@@ -251,10 +343,8 @@ def _assert_skeleton_grams(mesh):
 @pytest.mark.parametrize("kind, n, marked", [("unit_square", 4, [0, 5]), ("unit_cube", 2, [0])])
 def test_box_gram_on_conforming_and_hanging_facets(kind, n, marked):
     mesh = _hp_mesh(kind, n, marked)
-    facets = mesh.facets()
-    assert any(f.level != mesh.elements[f.side_b].level
-               for f in facets if not f.is_boundary)  # hanging coarse/fine pairs
-    assert _assert_skeleton_grams(mesh) == 4 * sum(not f.is_boundary for f in facets)
+    assert _hanging(mesh)  # hanging coarse/fine pairs
+    assert _assert_skeleton_grams(mesh) == 4 * len(_interior(mesh.facets()))
 
 
 @pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
@@ -275,16 +365,17 @@ def test_box_gram_rotated_frames_and_override(kind):
 def test_box_gram_transmission_facet():
     field = InterfaceWavenumber(axis=1, position=0.0, below=15.0, above=24.0, facet_k=12.0)
     mesh = build_initial_mesh(DomainSpec(kind="square2"), 4, field, 3)
-    across = [f for f in mesh.facets() if not f.is_boundary
-              and mesh.elements[f.side_a].k != mesh.elements[f.side_b].k]
+    facets = mesh.facets()
+    across = [f for f in _interior(facets)
+              if mesh.elements[facets.side_a[f]].k != mesh.elements[facets.side_b[f]].k]
     assert across
-    for facet in across:
-        sides = (mesh.elements[facet.side_a], mesh.elements[facet.side_b])
+    for f in across:
+        sides = (mesh.elements[facets.side_a[f]], mesh.elements[facets.side_b[f]])
         for el_t in sides:
             for el_r in sides:
-                got = _closed_gram(facet.lo, facet.hi, el_t, el_r)
-                want = _gauss_gram(facet.lo, facet.hi, el_t, el_r)
-                assert np.max(np.abs(got - want)) <= 1e-13 * facet.measure
+                got = _closed_gram(facets.lo[f], facets.hi[f], el_t, el_r)
+                want = _gauss_gram(facets.lo[f], facets.hi[f], el_t, el_r)
+                assert np.max(np.abs(got - want)) <= 1e-13 * _measure(facets, f)
 
 
 @pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
@@ -293,14 +384,16 @@ def test_box_gram_aligned_waves_are_the_sinc_limit(kind):
     # each diagonal entry of their coupling block has a = 0 on every axis:
     # modulus exactly the facet measure, phase that of the centroid shift.
     mesh = _mesh(n=2, k=17.0, q0=2, kind=kind)
-    facet = next(f for f in mesh.facets() if not f.is_boundary)
-    el_a, el_b = mesh.elements[facet.side_a], mesh.elements[facet.side_b]
-    got = _closed_gram(facet.lo, facet.hi, el_a, el_b)
+    facets = mesh.facets()
+    f = _interior(facets)[0]
+    lo, hi, measure = facets.lo[f], facets.hi[f], _measure(facets, f)
+    el_a, el_b = mesh.elements[facets.side_a[f]], mesh.elements[facets.side_b[f]]
+    got = _closed_gram(lo, hi, el_a, el_b)
     kd = el_a.k * element_directions(el_a)
     shift = np.exp(1j * kd @ (el_a.centroid - el_b.centroid))
-    assert np.max(np.abs(np.diag(got) - facet.measure * shift)) <= 1e-13 * facet.measure
-    want = _gauss_gram(facet.lo, facet.hi, el_a, el_b)
-    assert np.max(np.abs(got - want)) <= 1e-13 * facet.measure
+    assert np.max(np.abs(np.diag(got) - measure * shift)) <= 1e-13 * measure
+    want = _gauss_gram(lo, hi, el_a, el_b)
+    assert np.max(np.abs(got - want)) <= 1e-13 * measure
 
 
 def test_box_gram_on_an_element_box():
