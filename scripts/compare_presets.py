@@ -1,15 +1,16 @@
 """Run bundled presets in this tree and in PARENT_TREE and compare their outputs.
 
-    python3 scripts/compare_presets.py PARENT_TREE [--preset NAME ...]
+    python3 scripts/compare_presets.py PARENT_TREE [--preset NAME ...] [--blas-threads N]
 
 PARENT_TREE is another checkout of this repository, for example one made
 with `git archive`.  Each preset (all bundled presets unless --preset is
 given) runs through `tdg run` in both trees, each with its own `src` on
 PYTHONPATH and OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS
-set to 1.  Per preset it prints whether every CSV and VTK file is
-byte-identical and whether the n_elements/dofs trajectory of every
-convergence.csv is unchanged.  Exits 1 if a trajectory changed or a run
-failed, else 0.
+set to N (default 1).  The bytes of a run depend on the BLAS thread count,
+so a numerical change is checked once with N = 1 and once with N = 2.  Per
+preset it prints whether every CSV and VTK file is byte-identical and
+whether the n_elements/dofs trajectory of every convergence.csv is
+unchanged.  Exits 1 if a trajectory changed or a run failed, else 0.
 """
 
 import argparse
@@ -21,14 +22,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 sys.path.insert(0, str(ROOT / "src"))
 
 from tdg.config import preset_names  # noqa: E402
 
 
-def run_preset(tree, preset, out):
-    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"),
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+def run_preset(tree, preset, out, threads):
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
+    env.update((var, str(threads)) for var in THREAD_VARS)
     cmd = [sys.executable, "-m", "tdg.cli", "run", "--preset", preset, "--out", str(out)]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if done.returncode:
@@ -53,12 +55,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree", help="checkout to compare against")
     parser.add_argument("--preset", action="append", help="preset to run (repeatable)")
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N",
+                        help="BLAS threads of every run (default 1)")
     args = parser.parse_args(argv)
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for preset in args.preset or preset_names():
             outs = [Path(tmp) / side / preset for side in ("parent", "change")]
-            if not all([run_preset(tree, preset, out)
+            if not all([run_preset(tree, preset, out, args.blas_threads)
                         for tree, out in zip((args.parent_tree, ROOT), outs)]):
                 failed = True
                 continue

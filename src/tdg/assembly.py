@@ -20,10 +20,13 @@ On an interior facet both traces are plane waves and the normal
 derivative of a wave is its value times i k d.n, so every flux term is a
 Gram block G_tr = int_F conj(phi_t) phi_r of a side pair times a
 coefficient outer product; the four blocks come in closed form from
-`quadrature.box_gram`, with no quadrature points.  Boundary data is no
-plane wave, so boundary facets stay on Gauss quadrature: one
-`boundary_data` call and one batch of per-axis trace factors
-(`basis.eval_traces`) per batch.  The quadrature Gram block is the
+`quadrature.box_gram`, with no quadrature points.  Boundary data is in
+general no plane wave (a Hankel or corner solution), so boundary facets
+stay on Gauss quadrature.  Per batch that takes one
+`ProblemSpec.boundary_on_grid` call on the batch's per-axis nodes, which
+factors plane-wave and transmission data over the axes, and one batch of
+per-axis trace factors (`basis.eval_traces`); of the rule itself only the
+weights are built, never the points.  The quadrature Gram block is the
 elementwise product of per-axis Grams F_a^H diag(w_a) F_a, and gets the
 same coefficient products.  Element blocks are kept in a dict
 keyed by (test id, trial id) and flattened to CSR on demand: the COO
@@ -123,10 +126,10 @@ def _interior_blocks(batch, waves, problem, params):
 def _boundary_blocks(batch, waves, problem, params):
     """(blocks (F, p, p), loads (F, p)) of boundary facets, by per-axis quadrature."""
     tag = batch.side_b
-    points, w = batch.rule()
+    w = batch.weights()
     # hankel1 and jv slow down right after a zgemm (tdg.basis): the data
     # comes first, and in 2D a matrix-vector product ends the batch.
-    gdata = problem.boundary_data(tag, points.reshape(-1, points.shape[2]), batch.normal[0])
+    gdata = problem.boundary_on_grid(tag, batch.grid_axes(), batch.normal[0])
     kd, centroids, k = waves.take(batch.side_a, batch.p_a)
     axis_points, axis_weights = batch.axis_rule()
     factors, dn = eval_traces(kd, centroids, axis_points, batch.axis, batch.normal)
@@ -134,7 +137,7 @@ def _boundary_blocks(batch, waves, problem, params):
     grams = [adj @ (wa[:, :, None] * factor) for adj, factor, wa
              in zip(adjoints, factors, np.swapaxes(axis_weights, 0, 1))]
     gram = grams[0] * grams[1] if grams[1:] else grams[0]
-    loads = adjoints[0] @ (w * gdata.reshape(w.shape)).reshape(len(k), batch.n, -1)
+    loads = adjoints[0] @ (w * gdata).reshape(len(k), batch.n, -1)
     for adjoint in adjoints[1:]:
         loads = np.einsum("fpj,fpj->fp", loads, adjoint)[:, :, None]
     loads = loads[:, :, 0]

@@ -83,7 +83,7 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
     # Raw squared facet integrals per element: jump_u, jump_gradu, robin, dirichlet.
     raw = np.zeros((len(ids), 4))
     for batch in skeleton_batches(mesh):
-        points, w = batch.rule()
+        w = batch.weights()
         axis_points, _ = batch.axis_rule()
         rows_a = np.searchsorted(ids, batch.side_a)
         if not batch.is_boundary:
@@ -96,8 +96,7 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
             continue
         tag = batch.side_b
         # Data first: hankel1 and jv slow down right after a zgemm (tdg.basis).
-        data = problem.boundary_data(tag, points.reshape(-1, points.shape[2]),
-                                     batch.normal[0]).reshape(w.shape)
+        data = problem.boundary_on_grid(tag, batch.grid_axes(), batch.normal[0])
         u, gn, k = _traces(waves, batch.side_a, batch.p_a, batch, axis_points)
         if tag == ROBIN:
             residual = data - (gn + 1j * k[:, None] * problem.impedance_sign * u)

@@ -17,7 +17,11 @@ and a normal, form one FacetBatch, cut to at most BATCH_VALUES complex
 values wide.  A batch builds its per-axis nodes and weights once
 (FacetBatch.axis_rule), on which plane-wave traces factor
 (basis.eval_traces); its tensor rule uses each facet's own arithmetic, so
-it equals facet_rule point for point.
+it equals facet_rule point for point.  The passes read only the rule's
+weights (FacetBatch.weights) and its per-axis nodes (FacetBatch.grid_axes,
+for ProblemSpec.boundary_on_grid); tensor points (grid_points) are built
+only where something reads them, and a volume rule builds its points on
+first access.
 
 A product of two plane waves integrates in closed form over an
 axis-aligned box: box_gram, a phase times one L sinc(a L / 2) factor per
@@ -34,15 +38,21 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points (m, dim) and weights (m,) on a physical region.
+    """Weights (m,) of a tensor Gauss rule on a physical region, and its nodes.
 
-    A volume rule also keeps its per-axis nodes (dim, n) in `axis_points`;
-    `points` is their tensor grid in "ij" order (first axis slowest).
+    `axis_points` holds the nodes along each axis: a (dim, n) array on a
+    volume; on a facet one array per axis, the normal axis with its one
+    node.  `points` (m, dim), their tensor grid in "ij" order (first axis
+    slowest), is built on first access only: a pass that reads values on
+    the grid from per-axis factors never needs it.
     """
 
-    points: np.ndarray
     weights: np.ndarray
-    axis_points: np.ndarray | None = None
+    axis_points: np.ndarray | list
+
+    @cached_property
+    def points(self):
+        return grid_points([nodes[None] for nodes in self.axis_points])[0]
 
 
 @lru_cache(maxsize=None)
@@ -58,21 +68,34 @@ def points_per_direction(degree, wavenumber, diameter):
     return n if n.ndim else int(n)
 
 
-def _tensor_points(nodes, weights):
-    """Tensor grids of B sets of d 1D rules, nodes and weights (B, d, n).
+def grid_points(axes):
+    """Points (F, prod n_a, d) of F tensor grids; axes[a] (F, n_a) holds their nodes on axis a.
 
-    Points come out (B, n**d, d) in meshgrid "ij" order (first axis
-    slowest); weights (B, n**d) are 1 * w_0 * w_1 * ... in axis order.
+    "ij" order (first axis slowest), as np.meshgrid(..., indexing="ij")
+    ravelled; every coordinate is a copy of a node.
     """
-    batch, d, n = nodes.shape
-    grid = (batch,) + (n,) * d
-    pts = np.empty(grid + (d,))
-    w = np.ones(grid)
-    for ax in range(d):
-        spread = (slice(None),) + tuple(slice(None) if a == ax else None for a in range(d))
-        pts[..., ax] = nodes[:, ax][spread]
-        w = w * weights[:, ax][spread]
-    return pts.reshape(batch, -1, d), w.reshape(batch, -1)
+    d = len(axes)
+    shape = (len(axes[0]),) + tuple(nodes.shape[1] for nodes in axes)
+    pts = np.empty(shape + (d,))
+    for ax, nodes in enumerate(axes):
+        pts[..., ax] = nodes.reshape(shape[:1] + tuple(-1 if a == ax else 1 for a in range(d)))
+    return pts.reshape(shape[0], -1, d)
+
+
+def outer_rows(factors):
+    """Row-wise outer products (F, prod n_a) of per-axis factors (F, n_a), "ij" order.
+
+    Entry (i_0, i_1, ...) of row f is ((factors[0][f, i_0] * factors[1][f, i_1]) * ...).
+    """
+    values = factors[0]
+    for factor in factors[1:]:
+        values = (values[:, :, None] * factor[:, None, :]).reshape(len(values), -1)
+    return values
+
+
+def _tensor_weights(weights):
+    """Tensor weights (B, n**d), w_0 * w_1 * ... in axis order, of B sets of d 1D weights (B, d, n)."""
+    return outer_rows(list(np.swapaxes(weights, 0, 1)))
 
 
 # Complex values one batch of a skeleton pass may hold in one array, about
@@ -90,13 +113,9 @@ def _facet_nodes(lo, hi, axis, n):
     return nodes, half[:, np.arange(lo.shape[1]) != axis, None] * w
 
 
-def _facet_points(nodes, weights, axis):
-    """Tensor rules (points (F, m, d), weights (F, m)) on the per-axis nodes of _facet_nodes."""
-    tangential = np.arange(nodes.shape[1]) != axis
-    pts_t, wts = _tensor_points(nodes[:, tangential], weights)
-    pts = np.repeat(nodes[:, None, :, 0], pts_t.shape[1], axis=1)
-    pts[:, :, tangential] = pts_t
-    return pts, wts
+def _facet_axes(nodes, axis):
+    """The per-axis nodes of _facet_nodes as grid axes (F, n_a): the normal axis keeps one node."""
+    return [nodes[:, ax, :1] if ax == axis else nodes[:, ax] for ax in range(nodes.shape[1])]
 
 
 def facet_rule(lo, hi, axis, k_max, q_max):
@@ -106,8 +125,9 @@ def facet_rule(lo, hi, axis, k_max, q_max):
     axis; point for point the rule FacetBatch.rule builds for the facet.
     """
     n = points_per_direction(q_max, k_max, float(np.linalg.norm(hi - lo)))
-    pts, wts = _facet_points(*_facet_nodes(lo[None], hi[None], axis, n), axis)
-    return QuadratureRule(points=pts[0], weights=wts[0])
+    nodes, weights = _facet_nodes(lo[None], hi[None], axis, n)
+    return QuadratureRule(weights=_tensor_weights(weights)[0],
+                          axis_points=[ax[0] for ax in _facet_axes(nodes, axis)])
 
 
 @dataclass(frozen=True)
@@ -141,7 +161,15 @@ class FacetBatch:
 
     def rule(self):
         """Gauss points (F, m, d) and weights (F, m), facet by facet as facet_rule."""
-        return _facet_points(*self._nodes, self.axis)
+        return grid_points(self.grid_axes()), self.weights()
+
+    def weights(self):
+        """The weights (F, m) of rule(), without its points."""
+        return _tensor_weights(self._nodes[1])
+
+    def grid_axes(self):
+        """Per-axis nodes (F, n_a) of rule()'s grids: n on each tangential axis, 1 on the normal."""
+        return _facet_axes(self._nodes[0], self.axis)
 
     def axis_rule(self):
         """Per-axis nodes (F, d, n) and tangential weights (F, d-1, n) of rule()."""
@@ -229,6 +257,5 @@ def volume_rule(element):
     x, w = _gauss_nodes(n)
     mid = 0.5 * (element.lo + element.hi)
     half = 0.5 * (element.hi - element.lo)
-    nodes = mid[:, None] + half[:, None] * x
-    pts, wts = _tensor_points(nodes[None], (half[:, None] * w)[None])
-    return QuadratureRule(points=pts[0], weights=wts[0], axis_points=nodes)
+    return QuadratureRule(weights=_tensor_weights((half[:, None] * w)[None])[0],
+                          axis_points=mid[:, None] + half[:, None] * x)

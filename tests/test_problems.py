@@ -16,7 +16,7 @@ from tdg.problems import (
     ProblemSpec,
     l2_errors,
 )
-from tdg.quadrature import volume_rule
+from tdg.quadrature import grid_points, skeleton_batches, volume_rule
 from tdg.solution import DiscreteSolution
 
 mpmath.mp.dps = 40
@@ -309,6 +309,75 @@ def test_transmission_wave_parameters():
     assert abs(refl29) == pytest.approx(1.0)
 
 
+# Values on tensor grids against the pointwise definitions ---------------------
+
+def _grids(problem):
+    """(axes, normal or None) of every volume rule and boundary batch of a small hp mesh.
+
+    The boundary batches cover both signs of every normal axis.
+    """
+    mesh = build_initial_mesh(problem.domain, 2, problem.wavenumber_field(), 2)
+    mesh = refine_elements(mesh, [min(mesh.elements)], raise_degree=[max(mesh.elements)])
+    grids = [(volume_rule(el).axis_points[:, None], None) for el in mesh.elements.values()]
+    sides = set()
+    for batch in skeleton_batches(mesh):
+        if batch.is_boundary:
+            grids.append((batch.grid_axes(), batch.normal[0]))
+            sides.add((batch.axis, int(batch.normal[0, batch.axis])))
+    assert sides == {(ax, sign) for ax in range(mesh.dim) for sign in (-1, 1)}
+    return grids
+
+
+def _on_grids(problem):
+    """(grid values, pointwise values) of u and of both kinds of boundary data."""
+    for axes, normal in _grids(problem):
+        pts = grid_points(axes)
+        flat = pts.reshape(-1, pts.shape[2])
+        if normal is None:
+            yield problem.exact_on_grid(axes), problem.exact_solution(flat).reshape(pts.shape[:2])
+            continue
+        for tag in (ROBIN, DIRICHLET):
+            want = problem.boundary_data(tag, flat, normal).reshape(pts.shape[:2])
+            yield problem.boundary_on_grid(tag, axes, normal), want
+
+
+def _assert_close_on_grids(problem, tol):
+    for got, want in _on_grids(problem):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("problem", [
+    ProblemSpec(kind="plane_wave", domain=_domain(), k=20.0, direction=(1.0, -2.0)),
+    ProblemSpec(kind="plane_wave", domain=_domain("unit_cube"), k=20.0,
+                direction=(0.3, -0.5, 0.8), impedance_sign=-1.0),
+], ids=["2d", "3d"])
+def test_plane_wave_on_grid_matches_pointwise(problem):
+    # |u| = 1 and |g_R| <= 2k: the tolerance is 1e-14 absolute on u.
+    _assert_close_on_grids(problem, 1e-14)
+
+
+@pytest.mark.parametrize("deg", [29.0, 69.0], ids=["evanescent", "propagating"])
+def test_transmission_on_grid_matches_pointwise(deg):
+    problem = transmission_problem(deg)
+    sides = {bool(np.all(axes[1] <= 0.0)) for axes, _ in _grids(problem)}
+    assert sides == {True, False}
+    _assert_close_on_grids(problem, 1e-14)
+
+
+def test_transmission_grid_must_not_straddle_the_interface():
+    axes = [np.array([[0.1, 0.2]]), np.array([[-0.1, 0.1]])]
+    with pytest.raises(ProblemError):
+        transmission_problem(69.0).exact_on_grid(axes)
+
+
+@pytest.mark.parametrize("problem", [hankel_problem(sign=-1.0), corner_problem()],
+                         ids=["hankel", "corner"])
+def test_non_separable_on_grid_is_pointwise_bit_for_bit(problem):
+    for got, want in _on_grids(problem):
+        assert np.array_equal(got, want)
+
+
 # Exact-value cache of l2_errors across adaptive steps -------------------------
 
 def _rotate_first(mesh):
@@ -346,13 +415,14 @@ def _exact_keys(mesh):
 def test_l2_errors_cache_evaluates_only_new_elements(name, monkeypatch):
     problem, mesh, steps = _cache_case(name)
     rows = []
-    exact_solution = ProblemSpec.exact_solution
+    exact_on_grid = ProblemSpec.exact_on_grid
 
-    def counting(self, points, gradient=False):
-        rows.append(len(points))
-        return exact_solution(self, points, gradient)
+    def counting(self, axes):
+        values = exact_on_grid(self, axes)
+        rows.append(values.size)
+        return values
 
-    monkeypatch.setattr(ProblemSpec, "exact_solution", counting)
+    monkeypatch.setattr(ProblemSpec, "exact_on_grid", counting)
     rng = np.random.default_rng(7)
     cache = {}
     previous = {}

@@ -207,6 +207,7 @@ def test_batched_facet_rules_equal_meshgrid_reference(kind, n, marked):
     seen = []
     for batch in skeleton_batches(mesh):
         points, weights = batch.rule()
+        assert np.array_equal(batch.weights(), weights)
         for j, f in enumerate(_batch_rows(rows, batch)):
             seen.append(f)
             lo, hi, axis, side_b = facets.lo[f], facets.hi[f], facets.axis[f], facets.side_b[f]
@@ -301,6 +302,7 @@ def test_volume_rule_equals_meshgrid_reference(kind):
     mesh = _hp_mesh(kind, 2, [1])
     for element in mesh.elements.values():
         rule = volume_rule(element)
+        assert "points" not in vars(rule)  # built on first access only
         pts, wts = _reference_volume_rule(element)
         assert np.array_equal(rule.points, pts)
         assert np.array_equal(rule.weights, wts)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from tdg import driver
 from tdg.config import load_preset
+from tdg.quadrature import points_per_direction
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -45,3 +46,7 @@ def test_traced_run_counts_the_skeleton_and_assembly(monkeypatch):
     assert len(history) == len(meshes) == 2
     assert layers["mesh.facets"] == sum(len(mesh.facets()) for mesh in meshes)
     assert layers["assembly.blocks"] > 0
+    # l2_errors never reads a volume rule's points; the counter builds them.
+    assert layers["quadrature.volume_points"] == sum(
+        points_per_direction(el.degree, el.k, el.h) ** 3
+        for mesh in meshes for el in mesh.elements.values())
