@@ -24,7 +24,7 @@ coefficient outer product; the four blocks come in closed form from
 general no plane wave (a Hankel or corner solution), so boundary facets
 stay on Gauss quadrature.  Per batch that takes one
 `ProblemSpec.boundary_on_grid` call on the batch's per-axis nodes, which
-factors plane-wave and transmission data over the axes, and one batch of
+factors plane-wave data over the axes, and one batch of
 per-axis trace factors (`basis.eval_traces`); of the rule itself only the
 weights are built, never the points.  The quadrature Gram block is the
 elementwise product of per-axis Grams F_a^H diag(w_a) F_a, and gets the

@@ -71,9 +71,10 @@ def _exact_cache(problem):
     """A new exact-value cache for `l2_errors`, or None where it costs more
     than it saves.  A cached point holds 16 bytes between steps: that pays
     for Bessel and Hankel values (about 1 us a point), not for plane-wave
-    and transmission values, which come from n cos/sin pairs per axis and
-    one complex product per point (`ProblemSpec.exact_on_grid`);
-    ex4_cube_k20's cache would add 4% to its peak memory.
+    values, which come from n cos/sin pairs per axis and one complex
+    product per point (`ProblemSpec.exact_on_grid`), nor for the
+    transmission problem's three exponentials a point; ex4_cube_k20's
+    cache would add 4% to its peak memory.
     """
     return {} if problem.kind in ("hankel_source", "singular_corner") else None
 

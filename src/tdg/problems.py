@@ -17,14 +17,12 @@ Four problem kinds drive the solver and its tests:
 `exact_solution` and `boundary_data` define the values point by point.
 The passes read them on tensor Gauss grids through `exact_on_grid` and
 `boundary_on_grid`.  A plane wave factors over the axes, exp(i k d . x) =
-prod_a exp(i k d_a x_a), and so does the transmission wave on either side
-of y = 0, so on a grid of n_a nodes per axis those two kinds take sum n_a
-cos/sin pairs per grid, not prod n_a complex exponentials (sum
-factorisation, as `tdg.basis.eval_traces` does for facet traces).  Their
+prod_a exp(i k d_a x_a), so on a grid of n_a nodes per axis it takes
+sum n_a cos/sin pairs per grid, not prod n_a complex exponentials (sum
+factorisation, as `tdg.basis.eval_traces` does for facet traces).  Its
 grid values are products of rounded factors, so they differ from the
-pointwise ones in the last bits.  The Hankel and corner solutions do not
-factor: their grids are expanded to points and evaluated pointwise, bit
-for bit.
+pointwise ones in the last bits.  The other kinds expand their grids to
+points and are evaluated pointwise, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -34,19 +32,11 @@ from math import cos, radians, sin
 import numpy as np
 
 from .mesh import ConstantWavenumber, InterfaceWavenumber
-from .quadrature import grid_points, outer_rows, volume_rule
+from .quadrature import cis, grid_points, outer_rows, volume_rule
 from .special import bessel_j, hankel1
 
 HANKEL_SOURCE = np.array([-0.25, 0.0])
 PROBLEM_KINDS = ("plane_wave", "hankel_source", "singular_corner", "transmission")
-
-
-def _cis(phase):
-    """exp(i phase) of a real array, cos and sin written in place (tdg.basis)."""
-    values = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=values.real)
-    np.sin(phase, out=values.imag)
-    return values
 
 
 def _on_points(evaluate, axes):
@@ -234,56 +224,28 @@ class ProblemSpec:
         """u on F tensor grids, (F, prod n_a) in "ij" order (first axis slowest).
 
         axes[a] (F, n_a) holds grid f's nodes along axis a, so the values
-        line up with volume_rule's points and FacetBatch.rule's.
+        line up with volume_rule's points and grid_points(FacetBatch.grid_axes()).
         """
         if self.kind == "plane_wave":
             return outer_rows(self._plane_wave_factors(axes))
-        if self.kind == "transmission":
-            x, y, _, _ = self._transmission_factors(axes)
-            return outer_rows([x, y])
         return _on_points(self.exact_solution, axes)
 
     def boundary_on_grid(self, tag, axes, normal):
         """boundary_data on F tensor grids sharing one normal, laid out as exact_on_grid."""
-        if self.kind not in ("plane_wave", "transmission"):
+        if self.kind != "plane_wave":
             return _on_points(lambda pts: self.boundary_data(tag, pts, normal), axes)
         if tag == "dirichlet":
             return self.exact_on_grid(axes)
         if tag != "robin":
             raise ProblemError(f"unknown boundary tag {tag!r}")
-        normal = np.asarray(normal, dtype=float)
-        if self.kind == "plane_wave":
-            # grad u = i k u d, so du/dn + i k vartheta u = i k (d.n + vartheta) u.
-            ikn = 1j * self.k * (self._unit_direction @ normal + self.impedance_sign)
-            return ikn * outer_rows(self._plane_wave_factors(axes))
-        # du/dx = i kx u; du/dy is the x factor times the y factor's derivative.
-        x, y, dy, k = self._transmission_factors(axes)
-        ikn = 1j * (self._transmission_waves[0] * normal[0] + k * self.impedance_sign)
-        return outer_rows([x, normal[1] * dy + ikn[:, None] * y])
+        # grad u = i k u d, so du/dn + i k vartheta u = i k (d.n + vartheta) u.
+        ikn = 1j * self.k * (self._unit_direction @ np.asarray(normal, dtype=float)
+                             + self.impedance_sign)
+        return ikn * outer_rows(self._plane_wave_factors(axes))
 
     def _plane_wave_factors(self, axes):
         """exp(i k d_a x_a) (F, n_a) per axis."""
-        return [_cis(self.k * d_a * nodes) for d_a, nodes in zip(self._unit_direction, axes)]
-
-    def _transmission_factors(self, axes):
-        """x and y factors of u, the y factor's derivative (each (F, n_a)) and k (F,).
-
-        Below y = 0, u = e^{i kx x} (e^{i ky y} + R e^{-i ky y}); above,
-        u = e^{i kx x} T e^{i K2 y}.  Each grid must lie on one side, with
-        the pointwise rule's y <= 0 as below.
-        """
-        kx, ky, ktrans, refl, trans = self._transmission_waves
-        x, y = axes
-        below = y <= 0.0
-        side = below[:, 0]
-        if np.any(below != side[:, None]):
-            raise ProblemError("a quadrature grid straddles the interface y = 0")
-        inc = _cis(ky * y)
-        ref = refl * _cis(-ky * y)
-        tra = trans * np.exp(-ktrans.imag * y) * _cis(ktrans.real * y)
-        factor = np.where(below, inc + ref, tra)
-        derivative = np.where(below, 1j * ky * (inc - ref), 1j * ktrans * tra)
-        return _cis(kx * x), factor, derivative, np.where(side, self.k_below, self.k_above)
+        return [cis(self.k * d_a * nodes) for d_a, nodes in zip(self._unit_direction, axes)]
 
 
 def l2_errors(solution, problem, cache=None):

@@ -93,6 +93,14 @@ def outer_rows(factors):
     return values
 
 
+def cis(phase):
+    """exp(i phase) of a real array, cos and sin written in place."""
+    values = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=values.real)
+    np.sin(phase, out=values.imag)
+    return values
+
+
 def _tensor_weights(weights):
     """Tensor weights (B, n**d), w_0 * w_1 * ... in axis order, of B sets of d 1D weights (B, d, n)."""
     return outer_rows(list(np.swapaxes(weights, 0, 1)))
@@ -122,7 +130,7 @@ def facet_rule(lo, hi, axis, k_max, q_max):
     """Tensor Gauss rule on one axis-aligned facet with corners lo, hi (d,) and normal axis.
 
     points_per_direction(q_max, k_max, facet diameter) points per tangential
-    axis; point for point the rule FacetBatch.rule builds for the facet.
+    axis; point for point the rule FacetBatch builds for the facet.
     """
     n = points_per_direction(q_max, k_max, float(np.linalg.norm(hi - lo)))
     nodes, weights = _facet_nodes(lo[None], hi[None], axis, n)
@@ -159,20 +167,20 @@ class FacetBatch:
     def _nodes(self):
         return _facet_nodes(self.lo, self.hi, self.axis, self.n)
 
-    def rule(self):
-        """Gauss points (F, m, d) and weights (F, m), facet by facet as facet_rule."""
-        return grid_points(self.grid_axes()), self.weights()
-
     def weights(self):
-        """The weights (F, m) of rule(), without its points."""
+        """Tensor weights (F, m), facet by facet as facet_rule."""
         return _tensor_weights(self._nodes[1])
 
     def grid_axes(self):
-        """Per-axis nodes (F, n_a) of rule()'s grids: n on each tangential axis, 1 on the normal."""
+        """Per-axis nodes (F, n_a) of the facets' grids: n on each tangential axis, 1 on the normal.
+
+        grid_points(grid_axes()) are the Gauss points (F, m, d) that go with
+        weights(), facet by facet as facet_rule.
+        """
         return _facet_axes(self._nodes[0], self.axis)
 
     def axis_rule(self):
-        """Per-axis nodes (F, d, n) and tangential weights (F, d-1, n) of rule()."""
+        """Per-axis nodes (F, d, n) and tangential weights (F, d-1, n) of the facets' rules."""
         return self._nodes
 
 
@@ -236,9 +244,7 @@ def box_gram(lo, hi, kd_t, centre_t, kd_r, centre_r):
     mid = 0.5 * (lo + hi)
     phase = (np.einsum("fjd,fd->fj", kd_r, mid - centre_r)[:, None, :]
              - np.einsum("fid,fd->fi", kd_t, mid - centre_t)[:, :, None])
-    gram = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=gram.real)
-    np.sin(phase, out=gram.imag)
+    gram = cis(phase)
     for ax, ext in enumerate((hi - lo).T):
         a = kd_r[:, None, :, ax] - kd_t[:, :, None, ax]
         scale = np.where(ext > 0.0, ext, 1.0)[:, None, None]

@@ -357,23 +357,11 @@ def test_plane_wave_on_grid_matches_pointwise(problem):
     _assert_close_on_grids(problem, 1e-14)
 
 
-@pytest.mark.parametrize("deg", [29.0, 69.0], ids=["evanescent", "propagating"])
-def test_transmission_on_grid_matches_pointwise(deg):
-    problem = transmission_problem(deg)
-    sides = {bool(np.all(axes[1] <= 0.0)) for axes, _ in _grids(problem)}
-    assert sides == {True, False}
-    _assert_close_on_grids(problem, 1e-14)
-
-
-def test_transmission_grid_must_not_straddle_the_interface():
-    axes = [np.array([[0.1, 0.2]]), np.array([[-0.1, 0.1]])]
-    with pytest.raises(ProblemError):
-        transmission_problem(69.0).exact_on_grid(axes)
-
-
-@pytest.mark.parametrize("problem", [hankel_problem(sign=-1.0), corner_problem()],
-                         ids=["hankel", "corner"])
-def test_non_separable_on_grid_is_pointwise_bit_for_bit(problem):
+@pytest.mark.parametrize("problem", [
+    hankel_problem(sign=-1.0), corner_problem(),
+    transmission_problem(29.0), transmission_problem(69.0),
+], ids=["hankel", "corner", "transmission-evanescent", "transmission-propagating"])
+def test_non_plane_wave_on_grid_is_pointwise_bit_for_bit(problem):
     for got, want in _on_grids(problem):
         assert np.array_equal(got, want)
 

@@ -19,6 +19,7 @@ from tdg.quadrature import (
     _gauss_nodes,
     box_gram,
     facet_rule,
+    grid_points,
     points_per_direction,
     skeleton_batches,
     volume_rule,
@@ -206,8 +207,7 @@ def test_batched_facet_rules_equal_meshgrid_reference(kind, n, marked):
     rows = _rows_by_box(facets)
     seen = []
     for batch in skeleton_batches(mesh):
-        points, weights = batch.rule()
-        assert np.array_equal(batch.weights(), weights)
+        points, weights = grid_points(batch.grid_axes()), batch.weights()
         for j, f in enumerate(_batch_rows(rows, batch)):
             seen.append(f)
             lo, hi, axis, side_b = facets.lo[f], facets.hi[f], facets.axis[f], facets.side_b[f]
