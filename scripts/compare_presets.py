@@ -10,11 +10,15 @@ set to N (default 1).  The bytes of a run depend on the BLAS thread count,
 so a numerical change is checked once with N = 1 and once with N = 2.  Per
 preset it prints whether every CSV and VTK file is byte-identical and
 whether the n_elements/dofs trajectory of every convergence.csv is
-unchanged.  Exits 1 if a trajectory changed or a run failed, else 0.
+unchanged.  When a CSV differs, it also prints each float column that
+moved, with its largest relative change |new - old| / |old| and the file
+and data row (counted from 1) where that change happens.  Exits 1 if a
+trajectory changed or a run failed, else 0.
 """
 
 import argparse
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +55,33 @@ def trajectories(out):
     return result
 
 
+def _rows(path):
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def moved_columns(parent_out, change_out):
+    """{column: (largest relative change, file, data row)} over the float cells that differ."""
+    moved = {}
+    for rel in outputs(change_out, ".csv"):
+        if not (parent_out / rel).exists():
+            continue
+        for row, (old, new) in enumerate(zip(_rows(parent_out / rel), _rows(change_out / rel)), 1):
+            for column, text in old.items():
+                if new.get(column) == text:
+                    continue
+                try:
+                    a, b = float(text), float(new.get(column))
+                except (TypeError, ValueError):
+                    continue
+                change = abs(b - a) / abs(a) if a else math.inf
+                if math.isnan(change):
+                    change = math.inf
+                if change > moved.get(column, (-1.0,))[0]:
+                    moved[column] = (change, rel, row)
+    return moved
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree", help="checkout to compare against")
@@ -73,6 +104,10 @@ def main(argv=None):
             print(f"{preset}: csv {'identical' if same['.csv'] else 'DIFFER'}, "
                   f"vtk {'identical' if same['.vtk'] else 'DIFFER'}, "
                   f"trajectory {'kept' if kept else 'CHANGED'}", flush=True)
+            if not same[".csv"]:
+                for column, (change, rel, row) in sorted(moved_columns(*outs).items()):
+                    print(f"  {column}: largest relative change {change:.2g} ({rel} row {row})",
+                          flush=True)
     return 1 if failed else 0
 
 

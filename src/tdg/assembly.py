@@ -23,23 +23,23 @@ coefficient outer product; the four blocks come in closed form from
 `quadrature.box_gram`, with no quadrature points.  Boundary data is in
 general no plane wave (a Hankel or corner solution), so boundary facets
 stay on Gauss quadrature.  Per batch that takes one
-`ProblemSpec.boundary_on_grid` call on the batch's per-axis nodes, which
-factors plane-wave data over the axes, and one batch of
-per-axis trace factors (`basis.eval_traces`); of the rule itself only the
-weights are built, never the points.  The quadrature Gram block is the
-elementwise product of per-axis Grams F_a^H diag(w_a) F_a, and gets the
-same coefficient products.  Element blocks are kept in a dict
-keyed by (test id, trial id) and flattened to CSR on demand: the COO
-indices of all blocks come from a few np.repeat calls over the sorted
-keys, each block row-major.
+`ProblemSpec.boundary_on_grid` call on the batch's grid axes, which
+factors plane-wave data over the axes, and one batch of per-axis trace
+factors (`basis.grid_waves`) on the same axes; of the rule itself only
+the weights are built, never the points.  The quadrature Gram block is
+the elementwise product of per-axis Grams F_a^H diag(w_a) F_a over the
+tangential axes, and gets the same coefficient products.  Element blocks
+are kept in a dict keyed by (test id, trial id) and flattened to CSR on
+demand: the COO indices of all blocks come from a few np.repeat calls
+over the sorted keys, each block row-major.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import WaveTable, eval_traces
+from .basis import WaveTable, grid_waves
 from .mesh import ROBIN
 from .quadrature import box_gram, skeleton_batches
 
@@ -61,23 +61,20 @@ class GlobalSystem:
     rhs: np.ndarray
     dof_map: dict
     dim: int
-    _csr: object = field(default=None, repr=False)
 
     def to_sparse(self):
-        if self._csr is None:
-            # Row-major entries of each block, blocks in sorted key order.
-            keys = sorted(self.blocks)
-            r0, r1 = np.array([self.dof_map[test_id] for test_id, _ in keys]).T
-            c0, c1 = np.array([self.dof_map[trial_id] for _, trial_id in keys]).T
-            n_cols = c1 - c0
-            size = (r1 - r0) * n_cols
-            local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-            n_cols = np.repeat(n_cols, size)
-            rows = np.repeat(r0, size) + local // n_cols
-            cols = np.repeat(c0, size) + local % n_cols
-            data = np.concatenate([self.blocks[key].ravel() for key in keys])
-            self._csr = sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
-        return self._csr
+        # Row-major entries of each block, blocks in sorted key order.
+        keys = sorted(self.blocks)
+        r0, r1 = np.array([self.dof_map[test_id] for test_id, _ in keys]).T
+        c0, c1 = np.array([self.dof_map[trial_id] for _, trial_id in keys]).T
+        n_cols = c1 - c0
+        size = (r1 - r0) * n_cols
+        local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        n_cols = np.repeat(n_cols, size)
+        rows = np.repeat(r0, size) + local // n_cols
+        cols = np.repeat(c0, size) + local % n_cols
+        data = np.concatenate([self.blocks[key].ravel() for key in keys])
+        return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
 
 
 def _add_blocks(blocks, test_ids, trial_ids, mats):
@@ -131,11 +128,10 @@ def _boundary_blocks(batch, waves, problem, params):
     # comes first, and in 2D a matrix-vector product ends the batch.
     gdata = problem.boundary_on_grid(tag, batch.grid_axes(), batch.normal[0])
     kd, centroids, k = waves.take(batch.side_a, batch.p_a)
-    axis_points, axis_weights = batch.axis_rule()
-    factors, dn = eval_traces(kd, centroids, axis_points, batch.axis, batch.normal)
+    factors, dn = grid_waves(kd, centroids, batch.grid_axes(), batch.normal)
     adjoints = [factor.conj().transpose(0, 2, 1) for factor in factors]
     grams = [adj @ (wa[:, :, None] * factor) for adj, factor, wa
-             in zip(adjoints, factors, np.swapaxes(axis_weights, 0, 1))]
+             in zip(adjoints, factors, batch.tangential_weights())]
     gram = grams[0] * grams[1] if grams[1:] else grams[0]
     loads = adjoints[0] @ (w * gdata).reshape(len(k), batch.n, -1)
     for adjoint in adjoints[1:]:

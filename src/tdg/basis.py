@@ -22,11 +22,22 @@ That equals np.exp of the product bit for bit, for two measured reasons
   from 8.9e-16 to 9.7e-16.
 Derivatives along one vector (facet normals, probe axes) come from
 eval_basis_derivative without forming the (m, p, dim) gradient.
-eval_traces factors facet traces over the tangential axes (sum
-factorisation): n points per axis cost (dim-1) n p cos/sin pairs, not
-n^(dim-1) p; in 2D the one factor is the pointwise trace, bit for bit.
 A frame is immutable, so it caches its rotated direction set per wave
 count p; an element's directions_override bypasses the frame.
+
+On a tensor grid a wave factors over the axes (sum factorisation;
+Orszag, J. Comput. Phys. 37, 1980).  Every pass gives its F grids one way,
+`axes`: one (F, n_a) node array per axis, "ij" order (first axis
+slowest), a facet's normal axis with its one node.  grid_waves writes one
+factor (F, n_a, p) per axis with n_a > 1 as cos/sin of the broadcast
+phases (x_a - x_K,a) k d_a: sum_a n_a p cos/sin pairs per grid, not
+prod_a n_a p.  One-node axes join the first factor through the pointwise
+product, so a 2D facet's one factor is its pointwise trace bit for bit.
+grid_sum contracts the factors as ((c * F_0) * F_1 ...) @ F_last^T, the
+same bits for a grid alone or stacked with others; F_0 @ (c * F_1^T)
+would round differently.  Values from two or more factors differ from
+eval_basis(...) @ c in the last bits.  Both skeleton passes and
+DiscreteSolution.on_grid evaluate grids with these two functions only.
 """
 
 from dataclasses import dataclass, field
@@ -155,16 +166,20 @@ def element_directions(element):
     return element.frame.directions(element.n_waves)
 
 
+def _exp_in_place(values):
+    """exp of complex values whose real parts are +-0: cos/sin of the phases, in place."""
+    np.cos(values.imag, out=values.real)
+    np.sin(values.imag, out=values.imag)
+    return values
+
+
 def _plane_waves(offsets, ikd):
     """exp(offsets @ ikd^T) for real offsets x - x_K (..., m, dim), ikd (..., p, dim).
 
     Bit for bit np.exp of the complex product, built in place (module
     docstring).
     """
-    values = offsets @ np.swapaxes(ikd, -1, -2)
-    np.cos(values.imag, out=values.real)
-    np.sin(values.imag, out=values.imag)
-    return values
+    return _exp_in_place(offsets @ np.swapaxes(ikd, -1, -2))
 
 
 def eval_basis(element, points, order=0):
@@ -231,20 +246,34 @@ class WaveTable:
         return [column[rows] for column in columns]
 
 
-def eval_traces(kd, centroids, axis_points, axis, normals):
-    """Batched facet traces of F elements, one factor (F, n, p) per tangential axis.
+def grid_waves(kd, centroids, axes, normals=None):
+    """Plane-wave factors (F, n_a, p) per axis with n_a > 1 (module docstring).
 
-    Facet f (normal normals[f] along `axis`, per-axis nodes axis_points[f]
-    (dim, n)) carries the waves kd[f] (p, dim) centred at centroids[f].  The
-    first factor's phases take the (normal, first tangential) offset columns
-    in axis order; the 3D trace at point (i, j) is factors[0][:, i] *
-    factors[1][:, j].  Also returns i k d_l . n (F, p), the wave's normal
-    derivative over its value.
+    Grid f carries the waves kd[f] (p, dim) centred at centroids[f] (F, dim).
+    With normals (F, dim), also returns i k d_l . n (F, p), the normal
+    derivative of a wave over its value.
     """
     ikd = 1j * kd
-    offsets = np.swapaxes(axis_points - centroids[:, :, None], 1, 2)
-    tangential = [ax for ax in range(kd.shape[2]) if ax != axis]
-    groups = [sorted((axis, tangential[0]))] + [[ax] for ax in tangential[1:]]
-    # C-order offsets, laid out as a pointwise (F, m, dim) array would be.
-    factors = [_plane_waves(offsets[:, :, c].copy(), ikd[:, :, c]) for c in groups]
+    offsets = [nodes - centre[:, None] for nodes, centre in zip(axes, centroids.T)]
+    wide = [ax for ax, nodes in enumerate(axes) if nodes.shape[1] > 1]
+    joined = [ax for ax, nodes in enumerate(axes) if ax == wide[0] or nodes.shape[1] == 1]
+    factors = []
+    if len(joined) > 1:
+        shape = offsets[wide.pop(0)].shape
+        columns = np.stack([np.broadcast_to(offsets[ax], shape) for ax in joined], axis=-1)
+        factors.append(_plane_waves(columns, ikd[:, :, joined]))
+    factors += [_exp_in_place(offsets[ax][..., None] * ikd[:, None, :, ax]) for ax in wide]
+    if normals is None:
+        return factors
     return factors, (ikd @ normals[:, :, None])[:, :, 0]
+
+
+def grid_sum(factors, coeffs):
+    """sum_l coeffs[f, l] phi_l on F grids from grid_waves factors, (F, prod n_a) in "ij" order.
+
+    ((c * F_0) * F_1 ...) @ F_last^T, in this order (module docstring).
+    """
+    head = coeffs[:, None, :]
+    for factor in factors[:-1]:
+        head = (head[:, :, None, :] * factor[:, None]).reshape(len(coeffs), -1, coeffs.shape[1])
+    return (head @ np.swapaxes(factors[-1], 1, 2)).reshape(len(coeffs), -1)

@@ -17,8 +17,9 @@ jump dominates on coarse meshes and the solution jump once ``kh/q`` is small.
 
 The facet integrals are taken pointwise on Gauss rules, one batch of
 `quadrature.skeleton_batches` at a time: traces from the per-axis factors
-of `basis.eval_traces` contracted with the coefficients, never as a
-(facets, points, waves) array, then weighted sums of ``|u_a - u_b|^2``.
+of `basis.grid_waves` contracted with the coefficients by `basis.grid_sum`,
+never as a (facets, points, waves) array, then weighted sums of
+``|u_a - u_b|^2``.
 The assembly's closed-form Gram blocks would give the jumps as ``c^H G c``,
 but that form subtracts large, nearly equal terms.  On the 8782 interior
 facets of the final ``ex2_lshape_h_k20`` mesh (condition estimate 1.2e14)
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import PenaltyParams
-from .basis import WaveTable, eval_traces
+from .basis import WaveTable, grid_sum, grid_waves
 from .mesh import ROBIN
 from .quadrature import skeleton_batches
 
@@ -61,19 +62,11 @@ def _weighted_squares(weights, values):
     return np.einsum("fm,fm->f", weights, np.abs(values) ** 2)
 
 
-def _trace_sum(factors, coeffs):
-    """Facet traces (F, m) of sum_l c_l phi_l, as on_grid: F0 @ (c * F1^T), in 2D F0 @ c."""
-    tail = coeffs[:, :, None]
-    for factor in factors[1:]:
-        tail = tail * np.swapaxes(factor, 1, 2)
-    return (factors[0] @ tail).reshape(len(coeffs), -1)
-
-
-def _traces(waves, ids, p, batch, axis_points):
+def _traces(waves, ids, p, batch):
     """u_h, its derivative along the normals (each (F, m)) and k (F,) on elements ids."""
     kd, centroids, k, coeffs = waves.take(ids, p)
-    factors, dn = eval_traces(kd, centroids, axis_points, batch.axis, batch.normal)
-    return _trace_sum(factors, coeffs), _trace_sum(factors, dn * coeffs), k
+    factors, dn = grid_waves(kd, centroids, batch.grid_axes(), batch.normal)
+    return grid_sum(factors, coeffs), grid_sum(factors, dn * coeffs), k
 
 
 def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None):
@@ -84,11 +77,10 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
     raw = np.zeros((len(ids), 4))
     for batch in skeleton_batches(mesh):
         w = batch.weights()
-        axis_points, _ = batch.axis_rule()
         rows_a = np.searchsorted(ids, batch.side_a)
         if not batch.is_boundary:
-            u_a, gn_a, _ = _traces(waves, batch.side_a, batch.p_a, batch, axis_points)
-            u_b, gn_b, _ = _traces(waves, batch.side_b, batch.p_b, batch, axis_points)
+            u_a, gn_a, _ = _traces(waves, batch.side_a, batch.p_a, batch)
+            u_b, gn_b, _ = _traces(waves, batch.side_b, batch.p_b, batch)
             jumps = np.stack([_weighted_squares(w, u_a - u_b),
                               _weighted_squares(w, gn_a - gn_b)], axis=1)
             np.add.at(raw[:, :2], rows_a, jumps)
@@ -97,7 +89,7 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
         tag = batch.side_b
         # Data first: hankel1 and jv slow down right after a zgemm (tdg.basis).
         data = problem.boundary_on_grid(tag, batch.grid_axes(), batch.normal[0])
-        u, gn, k = _traces(waves, batch.side_a, batch.p_a, batch, axis_points)
+        u, gn, k = _traces(waves, batch.side_a, batch.p_a, batch)
         if tag == ROBIN:
             residual = data - (gn + 1j * k[:, None] * problem.impedance_sign * u)
             np.add.at(raw[:, 2], rows_a, _weighted_squares(w, residual))

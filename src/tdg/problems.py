@@ -19,7 +19,7 @@ The passes read them on tensor Gauss grids through `exact_on_grid` and
 `boundary_on_grid`.  A plane wave factors over the axes, exp(i k d . x) =
 prod_a exp(i k d_a x_a), so on a grid of n_a nodes per axis it takes
 sum n_a cos/sin pairs per grid, not prod n_a complex exponentials (sum
-factorisation, as `tdg.basis.eval_traces` does for facet traces).  Its
+factorisation, as `tdg.basis.grid_waves` does for the discrete waves).  Its
 grid values are products of rounded factors, so they differ from the
 pointwise ones in the last bits.  The other kinds expand their grids to
 points and are evaluated pointwise, bit for bit.
@@ -252,7 +252,7 @@ def l2_errors(solution, problem, cache=None):
     """(||u - u_hp||_L2, ||u||_L2) over the mesh, by per-element quadrature.
 
     u_hp and u are both evaluated on each element's tensor Gauss grid from
-    the volume rule's axis_points: DiscreteSolution.on_grid and
+    the volume rule's axes: DiscreteSolution.on_grid and
     ProblemSpec.exact_on_grid.  The rule's points are never built.
     Elements are summed in id order.
 
@@ -268,14 +268,14 @@ def l2_errors(solution, problem, cache=None):
     for eid in solution.mesh.element_ids():
         el = solution.mesh.elements[eid]
         rule = volume_rule(el)
-        key = (el.level, el.cell, rule.axis_points.shape[1], el.k)
+        key = (el.level, el.cell, rule.axes[0].shape[1], el.k)
         keys.add(key)
         u_ex = None if cache is None else cache.get(key)
         if u_ex is None:
-            u_ex = problem.exact_on_grid(rule.axis_points[:, None])[0]
+            u_ex = problem.exact_on_grid(rule.axes)[0]
             if cache is not None:
                 cache[key] = u_ex
-        u_h = solution.on_grid(el, rule.axis_points)
+        u_h = solution.on_grid(el, rule.axes)
         err_sq += float(rule.weights @ np.abs(u_ex - u_h) ** 2)
         norm_sq += float(rule.weights @ np.abs(u_ex) ** 2)
     if cache is not None:

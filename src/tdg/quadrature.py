@@ -14,14 +14,15 @@ ids, tag, normal, lo, hi).  Every skeleton pass (assembly and estimator)
 walks one grouping of those columns, skeleton_batches: facets sharing a
 point count, normal axis and side wave counts, and on the boundary a tag
 and a normal, form one FacetBatch, cut to at most BATCH_VALUES complex
-values wide.  A batch builds its per-axis nodes and weights once
-(FacetBatch.axis_rule), on which plane-wave traces factor
-(basis.eval_traces); its tensor rule uses each facet's own arithmetic, so
-it equals facet_rule point for point.  The passes read only the rule's
-weights (FacetBatch.weights) and its per-axis nodes (FacetBatch.grid_axes,
-for ProblemSpec.boundary_on_grid); tensor points (grid_points) are built
-only where something reads them, and a volume rule builds its points on
-first access.
+values wide.  A batch builds its grid once, in the one grid layout of
+tdg.basis: per-axis nodes (F, n_a), the normal axis with its one node
+(FacetBatch.grid_axes), and the tangential axes' weights (F, n) each
+(FacetBatch.tangential_weights).  Plane-wave traces and plane-wave problem
+data factor over those axes (basis.grid_waves,
+ProblemSpec.boundary_on_grid); the tensor weights (FacetBatch.weights) use
+each facet's own arithmetic, so they equal facet_rule's weight for
+weight.  Tensor points (grid_points) are built only where something reads
+them: a rule builds its points on first access.
 
 A product of two plane waves integrates in closed form over an
 axis-aligned box: box_gram, a phase times one L sinc(a L / 2) factor per
@@ -38,21 +39,21 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Weights (m,) of a tensor Gauss rule on a physical region, and its nodes.
+    """Weights (m,) of a tensor Gauss rule on a physical region, and its grid.
 
-    `axis_points` holds the nodes along each axis: a (dim, n) array on a
-    volume; on a facet one array per axis, the normal axis with its one
-    node.  `points` (m, dim), their tensor grid in "ij" order (first axis
-    slowest), is built on first access only: a pass that reads values on
-    the grid from per-axis factors never needs it.
+    `axes` is the grid of one region in the layout of tdg.basis: one (1, n_a)
+    node array per axis, a facet's normal axis with its one node.  `points`
+    (m, dim), their tensor grid in "ij" order (first axis slowest), is built
+    on first access only: a pass that reads values on the grid from
+    per-axis factors never needs it.
     """
 
     weights: np.ndarray
-    axis_points: np.ndarray | list
+    axes: list
 
     @cached_property
     def points(self):
-        return grid_points([nodes[None] for nodes in self.axis_points])[0]
+        return grid_points(self.axes)[0]
 
 
 @lru_cache(maxsize=None)
@@ -101,29 +102,29 @@ def cis(phase):
     return values
 
 
-def _tensor_weights(weights):
-    """Tensor weights (B, n**d), w_0 * w_1 * ... in axis order, of B sets of d 1D weights (B, d, n)."""
-    return outer_rows(list(np.swapaxes(weights, 0, 1)))
-
-
 # Complex values one batch of a skeleton pass may hold in one array, about
 # facets x points x waves of both sides (1 MB): caps a pass's working set
 # beyond the blocks or sums it returns.
 BATCH_VALUES = 1 << 16
 
 
-def _facet_nodes(lo, hi, axis, n):
-    """Per-axis nodes (F, d, n), normal axis at lo[axis], and tangential weights (F, d-1, n)."""
+def _box_nodes(lo, hi, n, axis=None):
+    """Grid axes (F, n_a) and weights of F boxes [lo, hi] (F, d), n Gauss nodes per axis.
+
+    A facet's normal `axis` gets its one node lo[axis] and no weights; the
+    weights, (F, n) per other axis, come in axis order.
+    """
     x, w = _gauss_nodes(n)
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[..., None] + half[..., None] * x
-    nodes[:, axis] = lo[:, axis, None]
-    return nodes, half[:, np.arange(lo.shape[1]) != axis, None] * w
+    nodes, weights = (0.5 * (lo + hi))[..., None] + half[..., None] * x, half[..., None] * w
+    axes = [lo[:, ax, None] if ax == axis else nodes[:, ax] for ax in range(lo.shape[1])]
+    return axes, [weights[:, ax] for ax in range(lo.shape[1]) if ax != axis]
 
 
-def _facet_axes(nodes, axis):
-    """The per-axis nodes of _facet_nodes as grid axes (F, n_a): the normal axis keeps one node."""
-    return [nodes[:, ax, :1] if ax == axis else nodes[:, ax] for ax in range(nodes.shape[1])]
+def _rule(lo, hi, n, axis=None):
+    """QuadratureRule of the one box [lo, hi] (d,), as _box_nodes."""
+    axes, weights = _box_nodes(lo[None], hi[None], n, axis)
+    return QuadratureRule(weights=outer_rows(weights)[0], axes=axes)
 
 
 def facet_rule(lo, hi, axis, k_max, q_max):
@@ -132,10 +133,7 @@ def facet_rule(lo, hi, axis, k_max, q_max):
     points_per_direction(q_max, k_max, facet diameter) points per tangential
     axis; point for point the rule FacetBatch builds for the facet.
     """
-    n = points_per_direction(q_max, k_max, float(np.linalg.norm(hi - lo)))
-    nodes, weights = _facet_nodes(lo[None], hi[None], axis, n)
-    return QuadratureRule(weights=_tensor_weights(weights)[0],
-                          axis_points=[ax[0] for ax in _facet_axes(nodes, axis)])
+    return _rule(lo, hi, points_per_direction(q_max, k_max, float(np.linalg.norm(hi - lo))), axis)
 
 
 @dataclass(frozen=True)
@@ -165,11 +163,11 @@ class FacetBatch:
 
     @cached_property
     def _nodes(self):
-        return _facet_nodes(self.lo, self.hi, self.axis, self.n)
+        return _box_nodes(self.lo, self.hi, self.n, self.axis)
 
     def weights(self):
         """Tensor weights (F, m), facet by facet as facet_rule."""
-        return _tensor_weights(self._nodes[1])
+        return outer_rows(self.tangential_weights())
 
     def grid_axes(self):
         """Per-axis nodes (F, n_a) of the facets' grids: n on each tangential axis, 1 on the normal.
@@ -177,11 +175,11 @@ class FacetBatch:
         grid_points(grid_axes()) are the Gauss points (F, m, d) that go with
         weights(), facet by facet as facet_rule.
         """
-        return _facet_axes(self._nodes[0], self.axis)
+        return self._nodes[0]
 
-    def axis_rule(self):
-        """Per-axis nodes (F, d, n) and tangential weights (F, d-1, n) of the facets' rules."""
-        return self._nodes
+    def tangential_weights(self):
+        """Gauss weights (F, n) per tangential axis, in axis order."""
+        return self._nodes[1]
 
 
 def skeleton_batches(mesh):
@@ -255,13 +253,8 @@ def box_gram(lo, hi, kd_t, centre_t, kd_r, centre_r):
 def volume_rule(element):
     """Tensor Gauss rule on an axis-aligned element box.
 
-    Its axis_points, mid + half * x per axis, are the very arrays that
-    points expands, so a separable integrand evaluated on them and ravelled
-    in "ij" order lines up with points and weights.
+    Its axes, mid + half * x per axis, are the very arrays that points
+    expands, so a separable integrand evaluated on them and ravelled in
+    "ij" order lines up with points and weights.
     """
-    n = points_per_direction(element.degree, element.k, element.h)
-    x, w = _gauss_nodes(n)
-    mid = 0.5 * (element.lo + element.hi)
-    half = 0.5 * (element.hi - element.lo)
-    return QuadratureRule(weights=_tensor_weights((half[:, None] * w)[None])[0],
-                          axis_points=mid[:, None] + half[:, None] * x)
+    return _rule(element.lo, element.hi, points_per_direction(element.degree, element.k, element.h))

@@ -5,19 +5,16 @@ Facet traces need only the derivative along the facet normal, so
 the directional derivatives from `basis.eval_basis_derivative` instead of
 with a full gradient tensor.
 
-On a tensor grid a plane wave factors over the axes,
-exp(i k d.(x - x_K)) = prod_a exp(i k d_a (x_a - x_K,a)), so `on_grid`
-builds dim * n * p per-axis factors instead of n^dim * p values and sums
-the waves with one matrix product (sum factorization).  Its values are
-products of rounded factors, so they differ from eval_basis @ c in the
-last bits; they feed only the exact-error report, never the mesh.
+`on_grid` forms u_h on one element's tensor grid from per-axis factors
+(`basis.grid_waves` and `basis.grid_sum`, with one grid); its values feed
+only the exact-error report, never the mesh.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import element_directions, eval_basis_derivative
+from .basis import element_directions, eval_basis_derivative, grid_sum, grid_waves
 
 
 @dataclass
@@ -32,21 +29,11 @@ class DiscreteSolution:
         coeffs = {eid: vector[sl[0] : sl[1]].copy() for eid, sl in dof_map.items()}
         return cls(mesh=mesh, coefficients=coeffs)
 
-    def on_grid(self, element, axis_points):
-        """Values on the tensor grid of per-axis points (dim, n), "ij" order.
-
-        The factors E_a = exp(i k d_a (x_a - x_K,a)), each (n, p), are
-        written as cos/sin in place, as eval_basis does; the grid values
-        are ((E_0 * ... * E_{dim-2}) * c) @ E_{dim-1}^T, ravelled.
-        """
-        ikd = 1j * element.k * element_directions(element)
-        factors = (axis_points - element.centroid[:, None])[:, :, None] * ikd.T[:, None, :]
-        np.cos(factors.imag, out=factors.real)
-        np.sin(factors.imag, out=factors.imag)
-        head = self.coefficients[element.id]
-        for factor in factors[:-1]:
-            head = head[..., None, :] * factor
-        return (head.reshape(-1, head.shape[-1]) @ factors[-1].T).ravel()
+    def on_grid(self, element, axes):
+        """Values (m,) on one tensor grid of per-axis nodes axes[a] (1, n_a), "ij" order."""
+        kd = element.k * element_directions(element)
+        factors = grid_waves(kd[None], element.centroid[None], axes)
+        return grid_sum(factors, self.coefficients[element.id][None])[0]
 
     def value_and_derivative(self, element, points, direction):
         """Values and derivatives along `direction` at the points, each (m,)."""

@@ -16,8 +16,9 @@ from tdg.basis import (
     element_directions,
     eval_basis,
     eval_basis_derivative,
-    eval_traces,
     frame_from_direction,
+    grid_sum,
+    grid_waves,
     rotated_directions,
     rotation_matrix_3d,
 )
@@ -227,15 +228,38 @@ def test_solution_on_grid_matches_pointwise_values(kind, k, override):
         if override is not None:
             el.directions_override = _refraction_override(override)
         coefficients[eid] = rng.normal(size=el.n_waves) + 1j * rng.normal(size=el.n_waves)
-    solution = DiscreteSolution(mesh, coefficients)
     for el in mesh.elements.values():
         rule = volume_rule(el)
         coeff = coefficients[el.id]
         expected = eval_basis(el, rule.points) @ coeff
-        grid = solution.on_grid(el, rule.axis_points)
+        kd = el.k * element_directions(el)
+        grid = grid_sum(grid_waves(kd[None], el.centroid[None], rule.axes), coeff[None])[0]
         # A value sums p unit-modulus waves and may cancel to near 0, so the
         # relative tolerance is taken against sum |c_l|, the sum's scale.
         assert_allclose(grid, expected, rtol=0.0, atol=1e-13 * np.abs(coeff).sum())
+
+
+@pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
+def test_stacked_volume_grids_equal_one_grid_calls(kind):
+    # One rotated frame and one directions_override among equal-sized elements.
+    mesh = build_initial_mesh(DomainSpec(kind=kind), 2, ConstantWavenumber(20.0), 2)
+    elements = [mesh.elements[eid] for eid in mesh.element_ids()]
+    direction = (0.6, 0.8) if kind == "unit_square" else (0.48, 0.6, 0.64)
+    elements[0].frame = frame_from_direction(direction)
+    rng = np.random.default_rng(5)
+    override = rng.normal(size=(elements[1].n_waves, mesh.dim))
+    elements[1].directions_override = override / np.linalg.norm(override, axis=1, keepdims=True)
+    coefficients = {el.id: rng.normal(size=el.n_waves) + 1j * rng.normal(size=el.n_waves)
+                    for el in elements}
+    solution = DiscreteSolution(mesh, coefficients)
+    rules = [volume_rule(el) for el in elements]
+    axes = [np.concatenate([rule.axes[ax] for rule in rules]) for ax in range(mesh.dim)]
+    kd = np.stack([el.k * element_directions(el) for el in elements])
+    centroids = np.stack([el.centroid for el in elements])
+    coeffs = np.stack([coefficients[el.id] for el in elements])
+    stacked = grid_sum(grid_waves(kd, centroids, axes), coeffs)
+    for values, el, rule in zip(stacked, elements, rules):
+        assert np.array_equal(values, solution.on_grid(el, rule.axes))
 
 
 @pytest.mark.parametrize("kind,q0", [("unit_square", 4), ("unit_cube", 3)])
@@ -331,10 +355,9 @@ def test_2d_traces_equal_pointwise_plane_waves_bit_for_bit():
     waves = WaveTable(mesh.elements)
     for batch in skeleton_batches(mesh):
         points = grid_points(batch.grid_axes())
-        axis_points, _ = batch.axis_rule()
         for ids, p in _batch_sides(batch):
             kd, centroids, _ = waves.take(ids, p)
-            factors, dn = eval_traces(kd, centroids, axis_points, batch.axis, batch.normal)
+            factors, dn = grid_waves(kd, centroids, batch.grid_axes(), batch.normal)
             assert len(factors) == 1
             want = basis._plane_waves(points - centroids[:, None, :], 1j * kd)
             assert np.array_equal(factors[0], want)
@@ -349,10 +372,9 @@ def test_3d_trace_factors_match_eval_basis_on_facet_rules():
                                                 map(tuple, facets.hi)))}
     normals, hanging = set(), 0
     for batch in skeleton_batches(mesh):
-        axis_points, _ = batch.axis_rule()
         for ids, p in _batch_sides(batch):
             kd, centroids, _ = waves.take(ids, p)
-            (f0, f1), dn = eval_traces(kd, centroids, axis_points, batch.axis, batch.normal)
+            (f0, f1), dn = grid_waves(kd, centroids, batch.grid_axes(), batch.normal)
             values = (f0[:, :, None, :] * f1[:, None, :, :]).reshape(len(ids), -1, p)
             for j, eid in enumerate(ids.tolist()):
                 f = rows[batch.side_a[j], tuple(batch.lo[j]), tuple(batch.hi[j])]

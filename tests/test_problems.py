@@ -318,7 +318,7 @@ def _grids(problem):
     """
     mesh = build_initial_mesh(problem.domain, 2, problem.wavenumber_field(), 2)
     mesh = refine_elements(mesh, [min(mesh.elements)], raise_degree=[max(mesh.elements)])
-    grids = [(volume_rule(el).axis_points[:, None], None) for el in mesh.elements.values()]
+    grids = [(volume_rule(el).axes, None) for el in mesh.elements.values()]
     sides = set()
     for batch in skeleton_batches(mesh):
         if batch.is_boundary:
@@ -395,7 +395,7 @@ def _exact_keys(mesh):
     keys = {}
     for el in mesh.elements.values():
         rule = volume_rule(el)
-        keys[(el.level, el.cell, rule.axis_points.shape[1], el.k)] = len(rule.weights)
+        keys[(el.level, el.cell, rule.axes[0].shape[1], el.k)] = len(rule.weights)
     return keys
 
 

@@ -306,7 +306,7 @@ def test_volume_rule_equals_meshgrid_reference(kind):
         pts, wts = _reference_volume_rule(element)
         assert np.array_equal(rule.points, pts)
         assert np.array_equal(rule.weights, wts)
-        grids = np.meshgrid(*rule.axis_points, indexing="ij")
+        grids = np.meshgrid(*[nodes[0] for nodes in rule.axes], indexing="ij")
         assert np.array_equal(np.stack([g.ravel() for g in grids], axis=1), rule.points)
 
 
