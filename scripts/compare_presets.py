@@ -7,8 +7,14 @@ with `git archive`.  Each preset (all bundled presets unless --preset is
 given) runs through `tdg run` in both trees, each with its own `src` on
 PYTHONPATH and OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS
 set to N (default 1).  The bytes of a run depend on the BLAS thread count,
-so a numerical change is checked once with N = 1 and once with N = 2.  Per
-preset it prints whether every CSV and VTK file is byte-identical and
+not on timing, so a numerical change is checked once with N = 1 and once
+with N = 2.  The two runs of a preset go at the same time, as two
+subprocesses, when their 2N BLAS threads fit on the available CPUs, and
+one after the other otherwise: oversubscribed OpenBLAS threads slow down
+several-fold (`ex2_lshape_h_k20`, N = 2, 2 CPUs: 10 s alone, 41 s for
+two runs at once).
+
+Per preset it prints whether every CSV and VTK file is byte-identical and
 whether the n_elements/dofs trajectory of every convergence.csv is
 unchanged.  When a CSV differs, it also prints each float column that
 moved, with its largest relative change |new - old| / |old| and the file
@@ -32,14 +38,19 @@ sys.path.insert(0, str(ROOT / "src"))
 from tdg.config import preset_names  # noqa: E402
 
 
-def run_preset(tree, preset, out, threads):
+def start_preset(tree, preset, out, threads):
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
     env.update((var, str(threads)) for var in THREAD_VARS)
     cmd = [sys.executable, "-m", "tdg.cli", "run", "--preset", preset, "--out", str(out)]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if done.returncode:
-        print(f"{preset}: tdg run failed in {tree}:\n{done.stderr}", file=sys.stderr)
-    return done.returncode == 0
+    return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def succeeded(run, tree, preset):
+    _, stderr = run.communicate()
+    if run.returncode:
+        print(f"{preset}: tdg run failed in {tree}:\n{stderr}", file=sys.stderr)
+    return run.returncode == 0
 
 
 def outputs(out, suffix):
@@ -90,11 +101,17 @@ def main(argv=None):
                         help="BLAS threads of every run (default 1)")
     args = parser.parse_args(argv)
     failed = False
+    together = 2 * args.blas_threads <= len(os.sched_getaffinity(0))
     with tempfile.TemporaryDirectory() as tmp:
         for preset in args.preset or preset_names():
             outs = [Path(tmp) / side / preset for side in ("parent", "change")]
-            if not all([run_preset(tree, preset, out, args.blas_threads)
-                        for tree, out in zip((args.parent_tree, ROOT), outs)]):
+            trees = (args.parent_tree, ROOT)
+            # The generator starts each run only once the one before it has ended.
+            runs = (start_preset(tree, preset, out, args.blas_threads)
+                    for tree, out in zip(trees, outs))
+            if together:
+                runs = list(runs)
+            if not all([succeeded(run, tree, preset) for run, tree in zip(runs, trees)]):
                 failed = True
                 continue
             same = {suffix: outputs(outs[0], suffix) == outputs(outs[1], suffix)

@@ -122,11 +122,10 @@ def _interior_blocks(batch, waves, problem, params):
 
 def _boundary_blocks(batch, waves, problem, params):
     """(blocks (F, p, p), loads (F, p)) of boundary facets, by per-axis quadrature."""
-    tag = batch.side_b
     w = batch.weights()
     # hankel1 and jv slow down right after a zgemm (tdg.basis): the data
     # comes first, and in 2D a matrix-vector product ends the batch.
-    gdata = problem.boundary_on_grid(tag, batch.grid_axes(), batch.normal[0])
+    gdata = problem.boundary_on_grid(batch.tag, batch.grid_axes(), batch.normal[0])
     kd, centroids, k = waves.take(batch.side_a, batch.p_a)
     factors, dn = grid_waves(kd, centroids, batch.grid_axes(), batch.normal)
     adjoints = [factor.conj().transpose(0, 2, 1) for factor in factors]
@@ -139,7 +138,7 @@ def _boundary_blocks(batch, waves, problem, params):
     loads = loads[:, :, 0]
     k = k[:, None]
     dc = dn.conj()
-    if tag == ROBIN:
+    if batch.tag == ROBIN:
         ikt = 1j * k * problem.impedance_sign
         delta = params.delta
         flux = (1.0 - delta) * (dc[:, :, None] + ikt[:, :, None]) - delta * (

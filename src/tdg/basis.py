@@ -1,11 +1,11 @@
 """Plane-wave bases: direction sets, per-element frames, evaluation.
 
 Each element carries p plane waves exp(i k d_l . (x - x_K)) centered at
-its centroid.  In 2D the p = 2q+1 directions are evenly spaced angles
-rotated rigidly by the element frame angle; in 3D the p = (q+1)^2
-directions come from bundled near-maximum-determinant sphere point sets
-(first point at the north pole) mapped by the frame's orthogonal
-matrix; they cover q = 1..8.
+its centroid.  In 2D the p = 2q+1 canonical directions are evenly spaced
+angles; in 3D the p = (q+1)^2 come from bundled near-maximum-determinant
+sphere point sets (first point at the north pole) and cover q = 1..8.
+In both, the element frame is a rotation matrix (None for the identity)
+that maps the canonical set rigidly.
 
 Values are built from the complex product (x - x_K) @ (i k d)^T, whose
 real parts are +-0 and whose imaginary parts are the phases, by writing
@@ -52,19 +52,18 @@ class UnsupportedDegreeError(Exception):
     """No direction set available for the requested basis size."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionFrame:
     """Rigid rotation applied to an element's canonical direction set.
 
-    2D: rotation by `theta` (radians, in [0, 2pi)).  3D: orthogonal
-    `matrix` whose third column is the frame's first direction; None
-    means identity.
+    `matrix` is orthogonal, (dim, dim), and maps the canonical first
+    direction, (1, 0) or (0, 0, 1), to the frame's; None means identity.
+    Frames compare by identity.
     """
 
     dim: int
-    theta: float = 0.0
     matrix: np.ndarray | None = None
-    _directions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _directions: dict = field(default_factory=dict, init=False, repr=False)
 
     def directions(self, p):
         """rotated_directions(p, self), computed once per p on this frame."""
@@ -72,10 +71,6 @@ class DirectionFrame:
         if dirs is None:
             dirs = self._directions[p] = rotated_directions(p, self)
         return dirs
-
-
-def canonical_frame(dim):
-    return DirectionFrame(dim=dim)
 
 
 @lru_cache(maxsize=None)
@@ -118,25 +113,24 @@ def canonical_directions(p, dim):
 def rotated_directions(p, frame):
     """Canonical directions mapped by the frame rotation."""
     base = canonical_directions(p, frame.dim)
-    if frame.dim == 2:
-        if frame.theta == 0.0:
-            return base
-        c, s = np.cos(frame.theta), np.sin(frame.theta)
-        rot = np.array([[c, -s], [s, c]])
-        return base @ rot.T
-    if frame.matrix is None:
-        return base
-    return base @ frame.matrix.T
+    return base if frame.matrix is None else base @ frame.matrix.T
 
 
 def frame_from_direction(direction):
-    """Frame whose first direction is the given unit vector."""
+    """Frame whose first direction is the given unit vector.
+
+    In 2D, the rotation by theta = atan2(d_y, d_x) mod 2 pi; the identity
+    frame when theta == 0, so a canonical fan keeps its bits.
+    """
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
-    if d.shape[0] == 2:
-        theta = atan2(d[1], d[0]) % (2.0 * pi)
-        return DirectionFrame(dim=2, theta=theta)
-    return DirectionFrame(dim=3, matrix=rotation_matrix_3d(d))
+    if d.shape[0] == 3:
+        return DirectionFrame(3, rotation_matrix_3d(d))
+    theta = atan2(d[1], d[0]) % (2.0 * pi)
+    if theta == 0.0:
+        return DirectionFrame(2)
+    c, s = np.cos(theta), np.sin(theta)
+    return DirectionFrame(2, np.array([[c, -s], [s, c]]))
 
 
 def rotation_matrix_3d(direction):

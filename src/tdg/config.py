@@ -141,8 +141,7 @@ def _parse_boundary(text):
         if tag not in BOUNDARY_TAGS:
             raise ConfigError(f"[domain] boundary: unknown tag {tag!r}")
         partition[side] = tag
-    if "all" not in partition:
-        partition.setdefault("all", ROBIN)
+    partition.setdefault("all", ROBIN)
     return partition
 
 

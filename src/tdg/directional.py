@@ -3,9 +3,18 @@
 The dominant local propagation direction is estimated from the Hessian of
 the discrete solution at the element centroid: the principal eigenvector of
 the Hessian of an oscillatory field points along the direction of most rapid
-variation.  Real and imaginary parts are analysed separately and combined
-only when neither clearly dominates; the resulting axis is then given a
-forward/backward orientation by probing the local impedance trace.
+variation.  Real and imaginary parts are analysed separately.  With l1, l2
+and m1, m2 the leading eigenvalue magnitudes of Re and Im, v1 and w1 their
+leading eigenvectors, a part is concentrated when its first magnitude is at
+least GAP_FACTOR times its second, and dominates the other part when its
+first is at least GAP_FACTOR times the other's first:
+1. Re concentrated and dominating Im gives v1;
+2. otherwise, Im concentrated and dominating Re gives w1;
+3. otherwise, both concentrated gives the normalised bisector of v1 and w1,
+   or None when v1 + w1 is shorter than SUM_EPS;
+4. anything else gives None.
+The resulting axis is then given a forward/backward orientation by probing
+the local impedance trace.
 """
 
 from __future__ import annotations
@@ -52,46 +61,25 @@ def symmetric_eigenpairs(matrix):
     return values, vectors
 
 
-def hessian_eigenpairs(solution, element):
-    """Eigen-decompose the centroid Hessians of Re u and Im u on ``element``."""
-    h_re, h_im = solution.hessians_at_centroid(element)
-    lam, vecs_re = symmetric_eigenpairs(h_re)
-    mu, vecs_im = symmetric_eigenpairs(h_im)
-    return lam, vecs_re, mu, vecs_im
-
-
 def potential_direction(lam, vecs_re, mu, vecs_im, gap=GAP_FACTOR):
-    """Select a candidate dominant direction, or None when no gap stands out.
+    """Select a candidate dominant direction by the module's rules, or None.
 
     ``lam``/``mu`` are eigenvalues of the real/imaginary Hessians sorted by
-    descending magnitude with matching eigenvector columns.  A direction is
-    only proposed when the leading eigenvalue dominates the second by the
-    factor ``gap``; when both parts qualify but neither leads the other, the
-    two principal axes are averaged.
+    descending magnitude with matching eigenvector columns; ``gap`` is the
+    factor of the concentration and dominance tests.
     """
     l1, l2 = abs(lam[0]), abs(lam[1])
     m1, m2 = abs(mu[0]), abs(mu[1])
-    v1 = vecs_re[:, 0]
-    w1 = vecs_im[:, 0]
-    if l1 >= gap * l2:
-        if m1 >= gap * m2:
-            if l1 >= gap * m1:
-                return v1
-            if m1 >= gap * l1:
-                return w1
-            combined = v1 + w1
-            norm = np.linalg.norm(combined)
-            if norm < SUM_EPS:
-                return None
-            return combined / norm
-        if l1 >= gap * m1:
-            return v1
+    re_concentrated, im_concentrated = l1 >= gap * l2, m1 >= gap * m2
+    if re_concentrated and l1 >= gap * m1:
+        return vecs_re[:, 0]
+    if im_concentrated and m1 >= gap * l1:
+        return vecs_im[:, 0]
+    if not (re_concentrated and im_concentrated):
         return None
-    if m1 >= gap * m2:
-        if m1 >= gap * l1:
-            return w1
-        return None
-    return None
+    combined = vecs_re[:, 0] + vecs_im[:, 0]
+    norm = np.linalg.norm(combined)
+    return None if norm < SUM_EPS else combined / norm
 
 
 def orient_direction(solution, element, axis, ball_radius=0.0):
@@ -121,8 +109,8 @@ def orient_direction(solution, element, axis, ball_radius=0.0):
 
 def element_direction(solution, element, gap=GAP_FACTOR, ball_radius=0.0):
     """Dominant oriented propagation direction for one element, or None."""
-    lam, vecs_re, mu, vecs_im = hessian_eigenpairs(solution, element)
-    axis = potential_direction(lam, vecs_re, mu, vecs_im, gap=gap)
+    h_re, h_im = solution.hessians_at_centroid(element)
+    axis = potential_direction(*symmetric_eigenpairs(h_re), *symmetric_eigenpairs(h_im), gap=gap)
     if axis is None:
         return None
     return orient_direction(solution, element, axis, ball_radius=ball_radius)

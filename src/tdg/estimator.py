@@ -86,11 +86,10 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
             np.add.at(raw[:, :2], rows_a, jumps)
             np.add.at(raw[:, :2], np.searchsorted(ids, batch.side_b), jumps)
             continue
-        tag = batch.side_b
         # Data first: hankel1 and jv slow down right after a zgemm (tdg.basis).
-        data = problem.boundary_on_grid(tag, batch.grid_axes(), batch.normal[0])
+        data = problem.boundary_on_grid(batch.tag, batch.grid_axes(), batch.normal[0])
         u, gn, k = _traces(waves, batch.side_a, batch.p_a, batch)
-        if tag == ROBIN:
+        if batch.tag == ROBIN:
             residual = data - (gn + 1j * k[:, None] * problem.impedance_sign * u)
             np.add.at(raw[:, 2], rows_a, _weighted_squares(w, residual))
         else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import DirectionFrame, canonical_frame
+from .basis import DirectionFrame
 
 ROBIN = "robin"
 DIRICHLET = "dirichlet"
@@ -99,16 +99,14 @@ class InterfaceWavenumber:
     """Piecewise-constant wavenumber split by a plane along one axis.
 
     Elements with centroid coordinate <= position get `below`, the rest
-    `above`.  The facet coupling coefficient on the interface itself
-    uses `facet_k` (the shared frequency of the two media).
+    `above`.
     """
 
-    def __init__(self, axis, position, below, above, facet_k):
+    def __init__(self, axis, position, below, above):
         self.axis = int(axis)
         self.position = float(position)
         self.below = float(below)
         self.above = float(above)
-        self.facet_k = float(facet_k)
 
     def __call__(self, centroid):
         return self.below if centroid[self.axis] <= self.position else self.above
@@ -277,7 +275,7 @@ def build_initial_mesh(domain, n, wavenumbers, q0):
     wavenumbers.validate(domain, n)
 
     mesh = Mesh(domain, int(n), {}, {}, 0)
-    frame = canonical_frame(domain.dim)
+    frame = DirectionFrame(domain.dim)
     # Root cells in first-axis-fastest order.
     for reversed_cell in itertools.product(range(n), repeat=domain.dim):
         cell = reversed_cell[::-1]

@@ -126,13 +126,8 @@ class ProblemSpec:
     # generic interface -------------------------------------------------
     def wavenumber_field(self):
         if self.kind == "transmission":
-            return InterfaceWavenumber(
-                axis=1,
-                position=0.0,
-                below=self.k_below,
-                above=self.k_above,
-                facet_k=self.omega,
-            )
+            return InterfaceWavenumber(axis=1, position=0.0, below=self.k_below,
+                                       above=self.k_above)
         return ConstantWavenumber(self.k)
 
     def facet_wavenumber(self, k_a, k_b):

@@ -141,14 +141,15 @@ class FacetBatch:
     """Facets of one skeleton pass that are evaluated together.
 
     They share the normal axis, the Gauss point count n per tangential axis,
-    the wave counts p_a, p_b of their sides (p_b = 0 on the boundary) and,
-    on the boundary, the tag (side_b) and the normal.  Arrays run over the
-    batch's facets in skeleton order: side ids (F,), normals, lo and hi
-    corners (F, d).
+    the wave counts p_a, p_b of their sides (p_b = 0 on the boundary), the
+    tag ("" inside) and, on the boundary, the normal.  Arrays run over the
+    batch's facets in skeleton order, as in mesh.Skeleton: side ids (F,),
+    side_b -1 on the boundary, normals, lo and hi corners (F, d).
     """
 
     side_a: np.ndarray
-    side_b: object
+    side_b: np.ndarray
+    tag: str
     normal: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -159,7 +160,7 @@ class FacetBatch:
 
     @property
     def is_boundary(self):
-        return isinstance(self.side_b, str)
+        return bool(self.tag)
 
     @cached_property
     def _nodes(self):
@@ -216,14 +217,13 @@ def skeleton_batches(mesh):
     cuts = np.flatnonzero(np.any(keys[:, 1:] != keys[:, :-1], axis=0)) + 1
     firsts = keys[:, np.concatenate([[0], cuts])].T.tolist()
     for members, (code, n, axis, _, p_a, p_b) in zip(np.split(order, cuts), firsts):
-        tag = str(tags[code])
         width = n ** (mesh.dim - 1) * (p_a + p_b)
         size = max(1, BATCH_VALUES // width)
         for start in range(0, len(members), size):
             sl = members[start:start + size]
-            yield FacetBatch(side_a=skeleton.side_a[sl], side_b=tag or skeleton.side_b[sl],
-                             normal=skeleton.normal[sl], lo=skeleton.lo[sl], hi=skeleton.hi[sl],
-                             axis=axis, n=n, p_a=p_a, p_b=p_b)
+            yield FacetBatch(side_a=skeleton.side_a[sl], side_b=skeleton.side_b[sl],
+                             tag=str(tags[code]), normal=skeleton.normal[sl], lo=skeleton.lo[sl],
+                             hi=skeleton.hi[sl], axis=axis, n=n, p_a=p_a, p_b=p_b)
 
 
 def box_gram(lo, hi, kd_t, centre_t, kd_r, centre_r):

@@ -47,4 +47,4 @@ class DiscreteSolution:
         dirs = element_directions(element)
         outer = np.einsum("pd,pe->pde", dirs, dirs)
         hess = -(element.k**2) * np.einsum("p,pde->de", coeff, outer)
-        return hess.real.copy(), hess.imag.copy()
+        return hess.real, hess.imag

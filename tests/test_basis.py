@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose
 
 from tdg import basis
 from tdg.basis import (
+    DirectionFrame,
     UnsupportedDegreeError,
     WaveTable,
     canonical_directions,
-    canonical_frame,
     element_directions,
     eval_basis,
     eval_basis_derivative,
@@ -326,7 +326,7 @@ def test_eval_basis_rejects_bad_order():
 
 
 def test_canonical_frame_is_identity():
-    frame = canonical_frame(2)
+    frame = DirectionFrame(2)
     assert_allclose(
         rotated_directions(7, frame), canonical_directions(7, 2), atol=0.0
     )

@@ -12,7 +12,6 @@ from tdg.directional import (
     POLICIES,
     apply_directional_adaptivity,
     element_direction,
-    hessian_eigenpairs,
     orient_direction,
     potential_direction,
     symmetric_eigenpairs,
@@ -101,6 +100,9 @@ TABLE = [
     ((1.0, 0.9), (10.0, 1.0), W1),                      # only Im concentrated + dominant
     ((6.0, 5.9), (8.0, 1.0), None),                     # Im concentrated, not dominant
     ((1.0, 0.9), (1.0, 0.9), None),                     # nothing concentrated
+    ((10.0, 9.0), (1.0, 0.9), None),                    # Re dominant, not concentrated
+    ((1.0, 0.9), (10.0, 9.0), None),                    # Im dominant, not concentrated
+    ((10.0, 9.0), (4.0, 1.0), None),                    # Re dominant, only Im concentrated
 ]
 
 
@@ -141,7 +143,9 @@ def test_hessian_eigenpairs_single_wave():
     (element,) = mesh.elements.values()
     solution = _single_wave_solution(mesh, index=1, amplitude=1.0)
     d = canonical_directions(7, 2)[1]
-    lam, vecs_re, mu, vecs_im = hessian_eigenpairs(solution, element)
+    h_re, h_im = solution.hessians_at_centroid(element)
+    lam, vecs_re = symmetric_eigenpairs(h_re)
+    mu, vecs_im = symmetric_eigenpairs(h_im)
     # H(u) = -k^2 d d^T for a unit-amplitude wave with zero phase at the
     # centroid, so the real part carries everything.
     assert lam[0] == pytest.approx(-K**2, rel=1e-12)
@@ -156,7 +160,9 @@ def test_hessian_eigenpairs_complex_amplitude():
     amplitude = 2.0 * np.exp(1j * np.pi / 3.0)
     solution = _single_wave_solution(mesh, index=2, amplitude=amplitude)
     d = canonical_directions(7, 2)[2]
-    lam, vecs_re, mu, vecs_im = hessian_eigenpairs(solution, element)
+    h_re, h_im = solution.hessians_at_centroid(element)
+    lam, vecs_re = symmetric_eigenpairs(h_re)
+    mu, vecs_im = symmetric_eigenpairs(h_im)
     assert lam[0] == pytest.approx(-K**2 * amplitude.real, rel=1e-12)
     assert mu[0] == pytest.approx(-K**2 * amplitude.imag, rel=1e-12)
     assert_allclose(np.abs(vecs_re[:, 0] @ d), 1.0, atol=1e-12)
@@ -233,15 +239,14 @@ def test_apply_policy_none_changes_nothing():
 
 def test_apply_policy_target_sets():
     d = canonical_directions(7, 2)[1]
-    theta = math.atan2(d[1], d[0])
 
     mesh = _mesh(n=2, q0=3)
     solution = _single_wave_solution(mesh, index=1)
     updated = apply_directional_adaptivity(mesh, solution, "marked-p",
                                            h_marked=[0], p_marked=[2])
     assert sorted(updated) == [2]
-    assert mesh.elements[2].frame.theta == pytest.approx(theta, abs=1e-12)
-    assert mesh.elements[0].frame.theta == 0.0
+    assert_allclose(element_directions(mesh.elements[2])[0], d, atol=1e-12)
+    assert element_directions(mesh.elements[0])[0].tolist() == [1.0, 0.0]
 
     mesh = _mesh(n=2, q0=3)
     solution = _single_wave_solution(mesh, index=1)
@@ -265,7 +270,7 @@ def test_apply_skips_elements_without_direction():
     solution = DiscreteSolution(mesh=mesh, coefficients=coeffs)
     updated = apply_directional_adaptivity(mesh, solution, "all")
     assert sorted(updated) == [3]
-    assert mesh.elements[0].frame.theta == 0.0
+    assert element_directions(mesh.elements[0])[0].tolist() == [1.0, 0.0]
 
 
 def test_apply_is_idempotent_for_fixed_field():
@@ -275,11 +280,11 @@ def test_apply_is_idempotent_for_fixed_field():
     mesh = _mesh(n=2, q0=3)
     solution = _single_wave_solution(mesh, index=2, amplitude=1.0 - 0.5j)
     first = apply_directional_adaptivity(mesh, solution, "all")
-    thetas = {eid: frame.theta for eid, frame in first.items()}
+    firsts = {eid: element_directions(mesh.elements[eid])[0] for eid in first}
     solution = _single_wave_solution(mesh, index=0, amplitude=1.0 - 0.5j)
     second = apply_directional_adaptivity(mesh, solution, "all")
-    for eid, frame in second.items():
-        assert frame.theta == pytest.approx(thetas[eid], abs=1e-12)
+    for eid in second:
+        assert_allclose(element_directions(mesh.elements[eid])[0], firsts[eid], atol=1e-12)
 
 
 def test_apply_3d_frame_orientation():

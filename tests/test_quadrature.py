@@ -213,10 +213,8 @@ def test_batched_facet_rules_equal_meshgrid_reference(kind, n, marked):
             lo, hi, axis, side_b = facets.lo[f], facets.hi[f], facets.axis[f], facets.side_b[f]
             assert batch.axis == axis
             assert np.array_equal(batch.normal[j], facets.normal[f])
-            if side_b < 0:
-                assert batch.side_b == facets.tag[f]
-            else:
-                assert batch.side_b[j] == side_b
+            assert batch.side_b[j] == side_b
+            assert batch.tag == facets.tag[f]
             el_a = mesh.elements[facets.side_a[f]]
             sides = [el_a] if side_b < 0 else [el_a, mesh.elements[side_b]]
             k_max = max(el.k for el in sides)
@@ -283,13 +281,9 @@ def test_skeleton_batches_keep_the_sorted_dict_grouping(kind, n, marked, boundar
     for batch in skeleton_batches(mesh):
         members = _batch_rows(rows, batch)
         sign = int(batch.normal[0, batch.axis]) if batch.is_boundary else 0
-        key = (batch.side_b if batch.is_boundary else "", batch.n, batch.axis, sign,
-               batch.p_a, batch.p_b)
+        key = (batch.tag, batch.n, batch.axis, sign, batch.p_a, batch.p_b)
         got.append((key, members))
-        assert np.array_equal(batch.side_a, facets.side_a[members])
-        if not batch.is_boundary:
-            assert np.array_equal(batch.side_b, facets.side_b[members])
-        for column in ("normal", "lo", "hi"):
+        for column in ("side_a", "side_b", "normal", "lo", "hi"):
             assert np.array_equal(getattr(batch, column), getattr(facets, column)[members])
     want = _reference_batches(mesh)
     assert got == want
@@ -365,7 +359,7 @@ def test_box_gram_rotated_frames_and_override(kind):
 
 
 def test_box_gram_transmission_facet():
-    field = InterfaceWavenumber(axis=1, position=0.0, below=15.0, above=24.0, facet_k=12.0)
+    field = InterfaceWavenumber(axis=1, position=0.0, below=15.0, above=24.0)
     mesh = build_initial_mesh(DomainSpec(kind="square2"), 4, field, 3)
     facets = mesh.facets()
     across = [f for f in _interior(facets)
