@@ -20,7 +20,7 @@ That equals np.exp of the product bit for bit, for two measured reasons
 - a real phase product (x - x_K) @ (k d)^T rounds differently for one-
   and two-wave sets and moves acceptance criterion 3's refraction error
   from 8.9e-16 to 9.7e-16.
-Derivatives along one vector (facet normals, probe axes) come from
+Derivatives along one vector (facet normals) come from
 eval_basis_derivative without forming the (m, p, dim) gradient.
 A frame is immutable, so it caches its rotated direction set per wave
 count p; an element's directions_override bypasses the frame.

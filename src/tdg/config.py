@@ -52,8 +52,6 @@ DEFAULTS = {
         "gamma_n": "1.0",
         "policy": "none",
         "max_iters": "10",
-        "lambda_gap": "2.0",
-        "delta_ball": "0.0",
         "stop_on_stagnation": "true",
         "cond_limit": "1e14",
         "q_min": "2",
@@ -80,8 +78,6 @@ class ExperimentConfig:
     penalties: PenaltyParams
     protocol: str
     adapt: AdaptConfig
-    lambda_gap: float
-    delta_ball: float
     stop_on_stagnation: bool
     cond_limit: float
     q_min: int
@@ -246,8 +242,6 @@ def _build(raw):
         penalties=penalties,
         protocol=protocol,
         adapt=adapt,
-        lambda_gap=_get(raw, "adaptivity", "lambda_gap", float, "a number"),
-        delta_ball=_get(raw, "adaptivity", "delta_ball", float, "a number"),
         stop_on_stagnation=_get_bool(raw, "adaptivity", "stop_on_stagnation"),
         cond_limit=_get(raw, "adaptivity", "cond_limit", float, "a number"),
         q_min=q_min,

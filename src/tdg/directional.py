@@ -13,15 +13,17 @@ first is at least GAP_FACTOR times the other's first:
 3. otherwise, both concentrated gives the normalised bisector of v1 and w1,
    or None when v1 + w1 is shorter than SUM_EPS;
 4. anything else gives None.
-The resulting axis is then given a forward/backward orientation by probing
-the local impedance trace.
+The resulting axis is then oriented by the local impedance trace at the
+centroid x_K.  There every wave exp(i k d_l . (x - x_K)) equals 1, so both
+steps read sums of the coefficients c_l, with no basis evaluation:
+u = sum_l c_l, du/da = sum_l c_l i k d_l . a, Hessian -k^2 sum_l c_l d_l d_l^T.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import frame_from_direction
+from .basis import element_directions, frame_from_direction
 
 GAP_FACTOR = 2.0
 SIGN_EPS = 1e-12
@@ -82,45 +84,51 @@ def potential_direction(lam, vecs_re, mu, vecs_im, gap=GAP_FACTOR):
     return None if norm < SUM_EPS else combined / norm
 
 
-def orient_direction(solution, element, axis, ball_radius=0.0):
+def centroid_hessians(solution, element):
+    """Hessians of (Re u, Im u) at the centroid: two real symmetric matrices."""
+    coeff = solution.coefficients[element.id]
+    dirs = element_directions(element)
+    outer = np.einsum("pd,pe->pde", dirs, dirs)
+    hess = -(element.k**2) * np.einsum("p,pde->de", coeff, outer)
+    return hess.real, hess.imag
+
+
+def orient_direction(solution, element, axis):
     """Give the undirected axis a forward orientation.
 
     For a local wave ``A exp(i k d . (x - x_K))`` the amplitude-normalised
-    impedance trace ``(grad u . axis + i k u) / (i k u)`` equals exactly 2
-    when ``axis`` points along the travel direction ``d`` and exactly 0 when
-    it points against it, independent of the complex amplitude ``A`` and the
-    probe offset; the midpoint 1 separates the two cases.  (Without the
+    impedance trace ``(grad u . axis + i k u) / (i k u)`` at the centroid
+    equals exactly 2 when ``axis`` points along the travel direction ``d``
+    and exactly 0 when it points against it, independent of the complex
+    amplitude ``A``; the midpoint 1 separates the two cases.  (Without the
     normalisation the forward value is ``2 Re A``, so any field with local
     amplitude below one half would always be flipped.)
     """
-    k = element.k
-    probe = element.centroid + ball_radius * axis
-    value, derivative = solution.value_and_derivative(
-        element, probe[np.newaxis, :], axis
-    )
-    denom = 1j * k * value[0]
+    coeff = solution.coefficients[element.id]
+    ik = 1j * element.k
+    denom = ik * coeff.sum()
     if denom == 0.0:
         return axis
-    trace = (derivative[0] + 1j * k * value[0]) / denom
+    derivative = ((ik * element_directions(element)) @ axis) @ coeff
+    trace = (derivative + denom) / denom
     if trace.real < 1.0:
         return -axis
     return axis
 
 
-def element_direction(solution, element, gap=GAP_FACTOR, ball_radius=0.0):
+def element_direction(solution, element):
     """Dominant oriented propagation direction for one element, or None."""
-    h_re, h_im = solution.hessians_at_centroid(element)
-    axis = potential_direction(*symmetric_eigenpairs(h_re), *symmetric_eigenpairs(h_im), gap=gap)
+    h_re, h_im = centroid_hessians(solution, element)
+    axis = potential_direction(*symmetric_eigenpairs(h_re), *symmetric_eigenpairs(h_im))
     if axis is None:
         return None
-    return orient_direction(solution, element, axis, ball_radius=ball_radius)
+    return orient_direction(solution, element, axis)
 
 
 POLICIES = ("none", "marked-p", "marked-all", "all")
 
 
-def apply_directional_adaptivity(mesh, solution, policy, h_marked=(), p_marked=(),
-                                 gap=GAP_FACTOR, ball_radius=0.0):
+def apply_directional_adaptivity(mesh, solution, policy, h_marked=(), p_marked=()):
     """Re-orient the plane-wave fans of selected elements in place.
 
     ``policy`` chooses the target set: ``none``, ``marked-p`` (elements about
@@ -142,7 +150,7 @@ def apply_directional_adaptivity(mesh, solution, policy, h_marked=(), p_marked=(
     updated = {}
     for eid in selected:
         element = mesh.elements[eid]
-        direction = element_direction(solution, element, gap=gap, ball_radius=ball_radius)
+        direction = element_direction(solution, element)
         if direction is None:
             continue
         frame = frame_from_direction(direction)

@@ -156,17 +156,9 @@ def run_adapt_loop(config, out_dir=None, history=None):
         marks = mark_elements(indicator_records, config.adapt.fraction)
         plan = plan_refinement(marks, indicator_records, config.adapt)
         apply_directional_adaptivity(
-            mesh,
-            solution,
-            config.adapt.policy,
-            h_marked=plan[0],
-            p_marked=plan[1],
-            gap=config.lambda_gap,
-            ball_radius=config.delta_ball,
+            mesh, solution, config.adapt.policy, h_marked=plan[0], p_marked=plan[1]
         )
-        mesh, predictions = decide_and_refine(
-            mesh, marks, indicator_records, config.adapt, plan=plan
-        )
+        mesh, predictions = decide_and_refine(mesh, plan, indicator_records, config.adapt)
         enforce_degree_compatibility(mesh)
     return history
 
@@ -174,12 +166,6 @@ def run_adapt_loop(config, out_dir=None, history=None):
 def _set_uniform_degree(mesh, q):
     for el in mesh.elements.values():
         el.degree = q
-
-
-def _reframe_all(mesh, solution, config):
-    apply_directional_adaptivity(
-        mesh, solution, "all", gap=config.lambda_gap, ball_radius=config.delta_ball
-    )
 
 
 def run_table2_protocol(config, out_dir=None, history=None, rows=None):
@@ -202,7 +188,7 @@ def run_table2_protocol(config, out_dir=None, history=None, rows=None):
         std_solution, _ = _solve_on(std_mesh, config)
         std_abs, exact_norm = l2_errors(std_solution, config.problem, cache)
         if ada_solution is not None:
-            _reframe_all(ada_mesh, ada_solution, config)
+            apply_directional_adaptivity(ada_mesh, ada_solution, "all")
         _set_uniform_degree(ada_mesh, q)
         ada_solution, _, (ada_abs, _) = _step(
             ada_mesh, config, None, step, history, out_dir, cache
@@ -236,7 +222,7 @@ def run_table3_protocol(config, out_dir=None, history=None, rows=None):
         errors_scaled = []
         for pass_idx in range(config.passes + 1):
             if pass_idx > 0:
-                _reframe_all(mesh, solution, config)
+                apply_directional_adaptivity(mesh, solution, "all")
             solution, _, (abs_err, exact_norm) = _step(
                 mesh, config, None, counter, history, out_dir, cache
             )

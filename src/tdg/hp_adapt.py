@@ -63,8 +63,8 @@ def plan_refinement(marks, records, config):
     return h_set, p_set
 
 
-def decide_and_refine(mesh, marks, records, config, plan=None):
-    """Apply one adaptation step and forecast the next indicators.
+def decide_and_refine(mesh, plan, records, config):
+    """Apply the (h_set, p_set) plan of `plan_refinement` and forecast the next indicators.
 
     Returns ``(new_mesh, predictions)`` where ``predictions`` maps every
     element id of the new mesh to its predicted indicator value.  Degree
@@ -74,7 +74,7 @@ def decide_and_refine(mesh, marks, records, config, plan=None):
     their own indicator.
     """
     by_id = {r.element: r for r in records}
-    h_set, p_set = plan if plan is not None else plan_refinement(marks, records, config)
+    h_set, p_set = plan
     new_mesh = refine_elements(mesh, h_set, raise_degree=p_set)
     n_children = 1 << mesh.dim
     predictions = {}

@@ -1,9 +1,7 @@
 """Discrete solution: per-element coefficient vectors over the plane waves.
 
-Facet traces need only the derivative along the facet normal, so
-`value_and_derivative` contracts the coefficients with the values and
-the directional derivatives from `basis.eval_basis_derivative` instead of
-with a full gradient tensor.
+`value_and_derivative` is the tests' pointwise reference for u_h and one
+directional derivative, from `basis.eval_basis_derivative`.
 
 `on_grid` forms u_h on one element's tensor grid from per-axis factors
 (`basis.grid_waves` and `basis.grid_sum`, with one grid); its values feed
@@ -40,11 +38,3 @@ class DiscreteSolution:
         values, dvals = eval_basis_derivative(element, points, direction)
         coeff = self.coefficients[element.id]
         return values @ coeff, np.einsum("mp,p->m", dvals, coeff)
-
-    def hessians_at_centroid(self, element):
-        """Hessians of (Re u, Im u) at the centroid: two real symmetric matrices."""
-        coeff = self.coefficients[element.id]
-        dirs = element_directions(element)
-        outer = np.einsum("pd,pe->pde", dirs, dirs)
-        hess = -(element.k**2) * np.einsum("p,pde->de", coeff, outer)
-        return hess.real, hess.imag

@@ -331,8 +331,7 @@ write_vtk = false
                              predictions=predictions)
         marks = mark_elements(records, config.adapt.fraction)
         plan = plan_refinement(marks, records, config.adapt)
-        mesh, predictions = decide_and_refine(
-            mesh, marks, records, config.adapt, plan=plan)
+        mesh, predictions = decide_and_refine(mesh, plan, records, config.adapt)
         enforce_degree_compatibility(mesh)
     distances = [float(np.linalg.norm(el.centroid)) for el in mesh.elements.values()]
     near_fraction = sum(1 for d in distances if d <= 0.25) / len(distances)
@@ -409,12 +408,14 @@ def test_criterion_7_selection_orientation_prediction_rotation():
     h_set, p_set = plan_refinement({0, 1}, records, AdaptConfig())
     if h_set or p_set != {0, 1}:
         failures.append("first refinement not p")
-    _, predictions = decide_and_refine(mesh_p, {0}, records, AdaptConfig())
+    plan = plan_refinement({0}, records, AdaptConfig())
+    _, predictions = decide_and_refine(mesh_p, plan, records, AdaptConfig())
     if abs(predictions[0] - math.sqrt(0.4)) > 1e-14:
         failures.append("p prediction")
     mesh_h = build_initial_mesh(domain, 2, wavenumber, 4)
     records = fresh_records(mesh_h, eta=1.0, eta_pred=0.5)
-    new_mesh, predictions = decide_and_refine(mesh_h, {0}, records, AdaptConfig())
+    plan = plan_refinement({0}, records, AdaptConfig())
+    new_mesh, predictions = decide_and_refine(mesh_h, plan, records, AdaptConfig())
     for child in new_mesh.last_refined[0]:
         if abs(predictions[child] - 0.0625) > 1e-14:
             failures.append("h prediction")

@@ -1,6 +1,8 @@
 """Config parsing, validation diagnostics, hashing, and packaged presets."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +51,6 @@ def test_defaults_resolve_from_empty_text():
     assert config.adapt.fraction == 0.25
     assert config.adapt.policy == "none"
     assert config.adapt.max_iters == 10
-    assert (config.lambda_gap, config.delta_ball) == (2.0, 0.0)
     assert config.stop_on_stagnation is True
     assert config.cond_limit == 1e14
     assert (config.q_min, config.q_max, config.passes) == (2, 9, 2)
@@ -57,6 +58,15 @@ def test_defaults_resolve_from_empty_text():
     assert config.calibration_k == (20.0, 30.0, 40.0, 50.0)
     assert config.write_vtk is True
     assert config.domain.boundary_partition == {"all": "robin"}
+
+
+def test_readme_configuration_reference_loads():
+    # Once its comments are stripped, the README's example block must load,
+    # so a key removed or renamed in the code cannot stay listed there.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration reference", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    load_config_text(re.sub(r";.*", "", block))
 
 
 def test_sections_and_protocols_are_pinned():
@@ -70,6 +80,9 @@ def test_unknown_key_and_section_are_rejected():
         load_config_text("[domain]\nshape = unit_square\n")
     with pytest.raises(ConfigError, match=r"unknown config section \[mesh\]"):
         load_config_text("[mesh]\nn = 4\n")
+    for key in ("lambda_gap", "delta_ball"):
+        with pytest.raises(ConfigError, match=rf"\[adaptivity\] unknown key '{key}'"):
+            load_config_text(f"[adaptivity]\n{key} = 2.0\n")
 
 
 def test_boundary_parsing_variants():

@@ -11,6 +11,7 @@ from tdg.directional import (
     GAP_FACTOR,
     POLICIES,
     apply_directional_adaptivity,
+    centroid_hessians,
     element_direction,
     orient_direction,
     potential_direction,
@@ -143,7 +144,7 @@ def test_hessian_eigenpairs_single_wave():
     (element,) = mesh.elements.values()
     solution = _single_wave_solution(mesh, index=1, amplitude=1.0)
     d = canonical_directions(7, 2)[1]
-    h_re, h_im = solution.hessians_at_centroid(element)
+    h_re, h_im = centroid_hessians(solution, element)
     lam, vecs_re = symmetric_eigenpairs(h_re)
     mu, vecs_im = symmetric_eigenpairs(h_im)
     # H(u) = -k^2 d d^T for a unit-amplitude wave with zero phase at the
@@ -160,7 +161,7 @@ def test_hessian_eigenpairs_complex_amplitude():
     amplitude = 2.0 * np.exp(1j * np.pi / 3.0)
     solution = _single_wave_solution(mesh, index=2, amplitude=amplitude)
     d = canonical_directions(7, 2)[2]
-    h_re, h_im = solution.hessians_at_centroid(element)
+    h_re, h_im = centroid_hessians(solution, element)
     lam, vecs_re = symmetric_eigenpairs(h_re)
     mu, vecs_im = symmetric_eigenpairs(h_im)
     assert lam[0] == pytest.approx(-K**2 * amplitude.real, rel=1e-12)
@@ -181,13 +182,24 @@ def test_orientation_keeps_forward_axis(amplitude):
     assert_allclose(orient_direction(solution, element, -d), d)
 
 
-def test_orientation_with_probe_offset():
+@pytest.mark.parametrize("a,b,expected_sign", [
+    (1.0, 0.9, 1.0),
+    (0.9j, 1.0, -1.0),
+    (0.3 - 0.2j, 0.1 + 0.05j, 1.0),
+    (0.01, 0.02, -1.0),
+])
+def test_orientation_follows_the_larger_of_two_opposite_waves(a, b, expected_sign):
+    # u = A exp(i k d.(x - x_K)) + B exp(-i k d.(x - x_K)): the trace is
+    # 1 + (A - B)/(A + B), whose real part exceeds 1 exactly when
+    # Re((A - B) conj(A + B)) = |A|^2 - |B|^2 > 0.
     mesh = _mesh(n=1, q0=3)
     (element,) = mesh.elements.values()
-    solution = _single_wave_solution(mesh, index=3, amplitude=0.5 - 0.25j)
-    d = canonical_directions(7, 2)[3]
-    assert_allclose(orient_direction(solution, element, d, ball_radius=0.05), d)
-    assert_allclose(orient_direction(solution, element, -d, ball_radius=0.05), d)
+    d = np.array([0.6, 0.8])
+    element.directions_override = np.stack([d, -d])
+    coeffs = {element.id: np.array([a, b], dtype=complex)}
+    solution = DiscreteSolution(mesh=mesh, coefficients=coeffs)
+    assert_allclose(orient_direction(solution, element, d), expected_sign * d)
+    assert_allclose(orient_direction(solution, element, -d), expected_sign * d)
 
 
 def test_orientation_zero_field_keeps_axis():

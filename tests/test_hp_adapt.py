@@ -95,7 +95,8 @@ def test_decide_p_refinement_bookkeeping():
     mesh = _mesh(n=2, q0=3)
     records = [_record(eid, 1.0 if eid == 0 else 0.25) for eid in mesh.elements]
     config = AdaptConfig(fraction=0.25)
-    new_mesh, predictions = decide_and_refine(mesh, {0}, records, config)
+    plan = plan_refinement({0}, records, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, config)
     assert len(new_mesh.elements) == 4
     assert new_mesh.elements[0].degree == 4
     assert all(new_mesh.elements[e].degree == 3 for e in (1, 2, 3))
@@ -111,7 +112,8 @@ def test_decide_h_refinement_prediction_arithmetic():
         for eid in mesh.elements
     ]
     config = AdaptConfig(fraction=0.25)
-    new_mesh, predictions = decide_and_refine(mesh, {0}, records, config)
+    plan = plan_refinement({0}, records, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, config)
     children = new_mesh.last_refined[0]
     assert len(children) == 4
     for cid in children:
@@ -131,7 +133,8 @@ def test_decide_unmarked_prediction_decay():
         _record(3, 0.1, eta_pred=0.2),
     ]
     config = AdaptConfig(fraction=0.25, gamma_n=0.25)
-    _, predictions = decide_and_refine(mesh, {0}, records, config)
+    plan = plan_refinement({0}, records, config)
+    _, predictions = decide_and_refine(mesh, plan, records, config)
     assert predictions[1] == pytest.approx(0.5 * 0.8, abs=1e-14)
     assert math.isinf(predictions[2])
     assert predictions[3] == pytest.approx(0.5 * 0.2, abs=1e-14)
@@ -153,7 +156,8 @@ def test_decide_closure_children_use_parent_indicator():
         for eid in sorted(mesh.elements)
     ]
     config = AdaptConfig(fraction=0.05)
-    new_mesh, predictions = decide_and_refine(mesh, {inner}, records, config)
+    plan = plan_refinement({inner}, records, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, config)
     assert inner in new_mesh.last_refined
     closure_parents = [p for p in new_mesh.last_refined if p != inner]
     assert closure_parents
@@ -186,7 +190,8 @@ def test_decide_p_bump_before_closure_split():
             records.append(_record(eid, 0.0))
     config = AdaptConfig(fraction=0.9)
     marks = {inner, *neighbours}
-    new_mesh, predictions = decide_and_refine(mesh, marks, records, config)
+    plan = plan_refinement(marks, records, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, config)
     split_neighbours = [p for p in new_mesh.last_refined if p in neighbours]
     assert split_neighbours
     for parent in split_neighbours:
@@ -194,19 +199,6 @@ def test_decide_p_bump_before_closure_split():
             assert new_mesh.elements[cid].degree == 4
             expected = math.sqrt(0.25 * 4.0 * 0.5 ** 8 * 0.9 ** 2)
             assert predictions[cid] == pytest.approx(expected, abs=1e-14)
-
-
-def test_decide_accepts_precomputed_plan():
-    mesh = _mesh(n=2, q0=3)
-    records = [_record(eid, float(4 - eid)) for eid in mesh.elements]
-    config = AdaptConfig(fraction=0.5)
-    marks = mark_elements(records, config.fraction)
-    plan = plan_refinement(marks, records, config)
-    a_mesh, a_pred = decide_and_refine(mesh, marks, records, config)
-    b_mesh, b_pred = decide_and_refine(_mesh(n=2, q0=3), marks, records, config,
-                                       plan=plan)
-    assert sorted(a_mesh.elements) == sorted(b_mesh.elements)
-    assert a_pred == b_pred
 
 
 def test_decide_copies_the_mesh_once(monkeypatch):
@@ -226,7 +218,8 @@ def test_decide_copies_the_mesh_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Element, "__post_init__", counting)
-    new_mesh, _ = decide_and_refine(mesh, {0, 1}, records, AdaptConfig())
+    plan = plan_refinement({0, 1}, records, AdaptConfig())
+    new_mesh, _ = decide_and_refine(mesh, plan, records, AdaptConfig())
     assert len(built) == 52
     assert list(new_mesh.last_refined) == [0]
     assert new_mesh.elements[1].degree == 4
@@ -237,7 +230,8 @@ def test_h_only_never_changes_degrees():
     mesh = _mesh(n=2, q0=3)
     records = [_record(eid, float(eid + 1), eta_pred=0.01) for eid in mesh.elements]
     config = AdaptConfig(mode="h_only", fraction=1.0)
-    new_mesh, _ = decide_and_refine(mesh, set(mesh.elements), records, config)
+    plan = plan_refinement(set(mesh.elements), records, config)
+    new_mesh, _ = decide_and_refine(mesh, plan, records, config)
     assert all(el.degree == 3 for el in new_mesh.elements.values())
     assert len(new_mesh.elements) == 16
 
@@ -298,7 +292,8 @@ def test_adapt_step_preserves_invariants(etas, mode):
     config = AdaptConfig(mode=mode, fraction=0.25)
     marks = mark_elements(records, config.fraction)
     assert len(marks) == 2
-    new_mesh, predictions = decide_and_refine(mesh, marks, records, config)
+    plan = plan_refinement(marks, records, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, config)
     enforce_degree_compatibility(new_mesh)
     assert set(predictions) == set(new_mesh.elements)
     assert all(v >= 0.0 for v in predictions.values())
