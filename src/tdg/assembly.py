@@ -94,9 +94,7 @@ def _interior_blocks(batch, waves, problem, params):
     """(test ids, trial ids, blocks (F, p_t, p_r)) of the four side pairs."""
     kd_a, c_a, k_a = waves.take(batch.side_a, batch.p_a)
     kd_b, c_b, k_b = waves.take(batch.side_b, batch.p_b)
-    pairs = list(zip(k_a.tolist(), k_b.tolist()))
-    k_f = {pair: problem.facet_wavenumber(*pair) for pair in set(pairs)}
-    ik = 1j * np.array([k_f[pair] for pair in pairs])[:, None, None]
+    ik = 1j * problem.facet_wavenumber(k_a, k_b)[:, None, None]
     gram_ab = box_gram(batch.lo, batch.hi, kd_a, c_a, kd_b, c_b)
     grams = {
         (0, 0): box_gram(batch.lo, batch.hi, kd_a, c_a, kd_a, c_a),

@@ -71,7 +71,6 @@ class ExperimentConfig:
     """Validated, fully-resolved settings for one experiment run."""
 
     raw: dict
-    domain: DomainSpec
     n: int
     problem: ProblemSpec
     q0: int
@@ -107,12 +106,11 @@ def _get(raw, section, key, convert, what):
 
 
 def _get_bool(raw, section, key):
+    states = configparser.ConfigParser.BOOLEAN_STATES
     text = raw[section][key].strip().lower()
-    if text in ("true", "yes", "on", "1"):
-        return True
-    if text in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"[{section}] {key}: expected a boolean, got {text!r}")
+    if text not in states:
+        raise ConfigError(f"[{section}] {key}: expected a boolean, got {text!r}")
+    return states[text]
 
 
 def _float_list(text):
@@ -235,7 +233,6 @@ def _build(raw):
 
     return ExperimentConfig(
         raw=raw,
-        domain=domain,
         n=n,
         problem=problem,
         q0=q0,

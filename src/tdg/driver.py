@@ -52,7 +52,7 @@ CSV_HEADER = ",".join(f.name for f in dataclasses.fields(IterationRecord))
 
 def initial_mesh(config):
     return build_initial_mesh(
-        config.domain, config.n, config.problem.wavenumber_field(), config.q0
+        config.problem.domain, config.n, config.problem.wavenumber, config.q0
     )
 
 

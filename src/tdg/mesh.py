@@ -5,6 +5,9 @@ grid.  Topology lives in integer coordinates (level, global cell index)
 so neighbor lookups and facet identities are exact; floating-point
 geometry is derived from them.  Refinement keeps the mesh 1-irregular:
 face-adjacent leaves differ by at most one level, enforced by closure.
+Each root takes its wavenumber from a map of points given to
+`build_initial_mesh` (in the solver, `ProblemSpec.wavenumber`) and its
+descendants inherit it; the mesh knows no material rule of its own.
 """
 
 import itertools
@@ -74,55 +77,6 @@ class DomainSpec:
         if "all" in part:
             return part["all"]
         raise MeshError(f"boundary side {side!r} has no tag and no 'all' default")
-
-
-class ConstantWavenumber:
-    """Uniform wavenumber over the whole domain."""
-
-    def __init__(self, k):
-        if k <= 0:
-            raise MeshError(f"wavenumber must be positive, got {k}")
-        self.k = float(k)
-
-    def __call__(self, centroid):
-        return self.k
-
-    def at_points(self, points):
-        """Wavenumber at each row of `points`, shape (m,)."""
-        return np.full(len(points), self.k)
-
-    def validate(self, domain, n):
-        return None
-
-
-class InterfaceWavenumber:
-    """Piecewise-constant wavenumber split by a plane along one axis.
-
-    Elements with centroid coordinate <= position get `below`, the rest
-    `above`.
-    """
-
-    def __init__(self, axis, position, below, above):
-        self.axis = int(axis)
-        self.position = float(position)
-        self.below = float(below)
-        self.above = float(above)
-
-    def __call__(self, centroid):
-        return self.below if centroid[self.axis] <= self.position else self.above
-
-    def at_points(self, points):
-        """Wavenumber at each row of `points`, shape (m,), by the same rule."""
-        return np.where(points[:, self.axis] <= self.position, self.below, self.above)
-
-    def validate(self, domain, n):
-        step = domain.extent / n
-        ratio = (self.position - domain.origin[self.axis]) / step
-        if abs(ratio - round(ratio)) > 1e-12:
-            raise MeshError(
-                f"initial grid n={n} does not resolve the material interface "
-                f"at coordinate {self.position}"
-            )
 
 
 @dataclass
@@ -264,27 +218,34 @@ class Mesh:
         return self._facets
 
 
-def build_initial_mesh(domain, n, wavenumbers, q0):
-    """Uniform n-per-axis root grid with per-element wavenumbers and degree q0."""
+def build_initial_mesh(domain, n, wavenumber, q0):
+    """Uniform n-per-axis root grid with degree q0.
+
+    Each root takes the value of `wavenumber`, a map from points (m, d) to
+    (m,), at its centroid.  A root whose value differs at the centre of one
+    of its 2^d quarter cells straddles a material interface: an error.
+    """
     if n < 1 or int(n) != n:
         raise MeshError(f"initial grid resolution must be a positive integer, got {n}")
     if domain.kind == "l_shape" and n % 2 != 0:
         raise MeshError(f"l_shape needs an even initial resolution, got n={n}")
     if q0 < 1:
         raise MeshError(f"effective degree must be >= 1, got {q0}")
-    wavenumbers.validate(domain, n)
 
     mesh = Mesh(domain, int(n), {}, {}, 0)
-    frame = DirectionFrame(domain.dim)
     # Root cells in first-axis-fastest order.
-    for reversed_cell in itertools.product(range(n), repeat=domain.dim):
-        cell = reversed_cell[::-1]
-        if mesh._root_in_domain(cell):
-            lo, hi = mesh._cell_box(0, cell)
-            k = float(wavenumbers(0.5 * (lo + hi)))
-            mesh._add_leaf(0, cell, k, int(q0), frame, None)
-    if not mesh.elements:
-        raise MeshError("empty mesh")
+    cells = [cell[::-1] for cell in itertools.product(range(n), repeat=domain.dim)]
+    cells = [cell for cell in cells if mesh._root_in_domain(cell)]
+    lo, hi = mesh._cell_box(0, cells)
+    centroids = 0.5 * (lo + hi)
+    k = wavenumber(centroids)
+    offsets = np.array(list(itertools.product((-0.25, 0.25), repeat=domain.dim)))
+    quarters = (centroids[:, None] + offsets * (hi - lo)[:, None]).reshape(-1, domain.dim)
+    if np.any(wavenumber(quarters).reshape(len(cells), -1) != k[:, None]):
+        raise MeshError(f"initial grid n={n} does not resolve the material interface")
+    frame = DirectionFrame(domain.dim)
+    for cell, k_root in zip(cells, k.tolist()):
+        mesh._add_leaf(0, cell, k_root, int(q0), frame, None)
     return mesh
 
 

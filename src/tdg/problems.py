@@ -14,6 +14,10 @@ Four problem kinds drive the solver and its tests:
   interface, so grazing angles below the critical one are evanescent.
 * ``plane_wave``: exp(i k d . x) in any dimension; Robin data.
 
+The wavenumber rule lives here alone, on arrays: `ProblemSpec.wavenumber`
+per point (root centroids, Robin data) and `facet_wavenumber` per interior
+facet, which is omega between the two transmission media.
+
 `exact_solution` and `boundary_data` define the values point by point.
 The passes read them on tensor Gauss grids through `exact_on_grid` and
 `boundary_on_grid`.  A plane wave factors over the axes, exp(i k d . x) =
@@ -31,7 +35,6 @@ from math import cos, radians, sin
 
 import numpy as np
 
-from .mesh import ConstantWavenumber, InterfaceWavenumber
 from .quadrature import cis, grid_points, outer_rows, volume_rule
 from .special import bessel_j, hankel1
 
@@ -76,8 +79,11 @@ class ProblemSpec:
             raise ProblemError(f"unknown problem kind {self.kind!r}")
         if self.kind == "transmission":
             for name in ("omega", "index_below", "index_above", "incidence_deg"):
-                if getattr(self, name) is None:
+                value = getattr(self, name)
+                if value is None:
                     raise ProblemError(f"transmission problem needs {name}")
+                if value <= 0 and name != "incidence_deg":
+                    raise ProblemError(f"transmission {name} must be positive, got {value}")
         elif self.k is None or self.k <= 0:
             raise ProblemError(f"{self.kind} needs a positive wavenumber")
         if self.kind == "singular_corner" and self.domain.kind != "l_shape":
@@ -124,21 +130,19 @@ class ProblemSpec:
         return d / np.linalg.norm(d)
 
     # generic interface -------------------------------------------------
-    def wavenumber_field(self):
+    def wavenumber(self, points):
+        """The wavenumber (m,) at points (m, d); points on the interface y = 0 are below."""
         if self.kind == "transmission":
-            return InterfaceWavenumber(axis=1, position=0.0, below=self.k_below,
-                                       above=self.k_above)
-        return ConstantWavenumber(self.k)
+            return np.where(points[:, 1] <= 0.0, self.k_below, self.k_above)
+        return np.full(len(points), float(self.k))
 
     def facet_wavenumber(self, k_a, k_b):
-        """Coefficient wavenumber for a facet between elements with k_a, k_b."""
-        if k_a == k_b:
-            return k_a
+        """Coefficient wavenumbers (F,) of facets between elements with k_a, k_b (F,)."""
         if self.kind == "transmission":
-            return self.omega
-        raise ProblemError(
-            f"facet between wavenumbers {k_a} and {k_b} without an interface rule"
-        )
+            return np.where(k_a == k_b, k_a, self.omega)
+        if np.any(k_a != k_b):
+            raise ProblemError(f"{self.kind} facets between different wavenumbers")
+        return k_a
 
     def exact_solution(self, points, gradient=False):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -211,8 +215,8 @@ class ProblemSpec:
         if tag != "robin":
             raise ProblemError(f"unknown boundary tag {tag!r}")
         u, grad = self.exact_solution(pts, gradient=True)
-        kvals = self.wavenumber_field().at_points(pts)
-        return grad @ np.asarray(normal, dtype=float) + 1j * kvals * self.impedance_sign * u
+        return (grad @ np.asarray(normal, dtype=float)
+                + 1j * self.wavenumber(pts) * self.impedance_sign * u)
 
     # values on tensor grids ---------------------------------------------
     def exact_on_grid(self, axes):

@@ -136,7 +136,7 @@ def _aligned_recovery_error(domain_kind, n, q0, k, direction_index):
     problem = ProblemSpec(
         kind="plane_wave", domain=domain, k=k, direction=tuple(direction)
     )
-    mesh = build_initial_mesh(domain, n, problem.wavenumber_field(), q0)
+    mesh = build_initial_mesh(domain, n, problem.wavenumber, q0)
     system = assemble_system(mesh, problem)
     report = solve(system)
     solution = DiscreteSolution.from_vector(mesh, report.coefficients, system.dof_map)
@@ -152,7 +152,7 @@ def _refraction_recovery_error():
     )
     kx, ky, ktrans, _, _ = problem._transmission_waves
     k_below, k_above = 22.0, 11.0
-    mesh = build_initial_mesh(problem.domain, 8, problem.wavenumber_field(), 3)
+    mesh = build_initial_mesh(problem.domain, 8, problem.wavenumber, 3)
     for el in mesh.elements.values():
         if el.centroid[1] < 0.0:
             el.directions_override = np.array([
@@ -379,7 +379,7 @@ def test_criterion_7_selection_orientation_prediction_rotation():
     domain = DomainSpec(kind="unit_square")
     problem = ProblemSpec(kind="plane_wave", domain=domain, k=12.0,
                           direction=(1.0, 0.0))
-    mesh = build_initial_mesh(domain, 1, problem.wavenumber_field(), 3)
+    mesh = build_initial_mesh(domain, 1, problem.wavenumber, 3)
     element = mesh.elements[0]
     axis = canonical_directions(7, 2)[0]
     for amplitude in (1.0, 3.0, 0.2):
@@ -402,8 +402,7 @@ def test_criterion_7_selection_orientation_prediction_rotation():
             for eid in sorted(mesh_.elements)
         ]
 
-    wavenumber = problem.wavenumber_field()
-    mesh_p = build_initial_mesh(domain, 2, wavenumber, 3)
+    mesh_p = build_initial_mesh(domain, 2, problem.wavenumber, 3)
     records = fresh_records(mesh_p)
     h_set, p_set = plan_refinement({0, 1}, records, AdaptConfig())
     if h_set or p_set != {0, 1}:
@@ -412,7 +411,7 @@ def test_criterion_7_selection_orientation_prediction_rotation():
     _, predictions = decide_and_refine(mesh_p, plan, records, AdaptConfig())
     if abs(predictions[0] - math.sqrt(0.4)) > 1e-14:
         failures.append("p prediction")
-    mesh_h = build_initial_mesh(domain, 2, wavenumber, 4)
+    mesh_h = build_initial_mesh(domain, 2, problem.wavenumber, 4)
     records = fresh_records(mesh_h, eta=1.0, eta_pred=0.5)
     plan = plan_refinement({0}, records, AdaptConfig())
     new_mesh, predictions = decide_and_refine(mesh_h, plan, records, AdaptConfig())
@@ -454,7 +453,7 @@ def test_criterion_8_quadrature_special_function_and_trefftz_oracles():
     domain = DomainSpec(kind="unit_square")
     problem = ProblemSpec(kind="plane_wave", domain=domain, k=10.0,
                           direction=(1.0, 0.0))
-    mesh = build_initial_mesh(domain, 1, problem.wavenumber_field(), 3)
+    mesh = build_initial_mesh(domain, 1, problem.wavenumber, 3)
     facets = mesh.facets()
     (bottom,) = np.flatnonzero((facets.side_b < 0) & (facets.axis == 1) & (facets.lo[:, 1] == 0.0))
     for k in (5.0, 20.0, 40.0):
@@ -486,7 +485,7 @@ def test_criterion_8_quadrature_special_function_and_trefftz_oracles():
         dim = 3 if kind == "unit_cube" else 2
         prob = ProblemSpec(kind="plane_wave", domain=dom, k=20.0,
                            direction=tuple([1.0] * dim))
-        m = build_initial_mesh(dom, 1, prob.wavenumber_field(), q)
+        m = build_initial_mesh(dom, 1, prob.wavenumber, q)
         el = m.elements[0]
         pts = rng.uniform(0.05, 0.95, size=(6, dim))
         values, _, hessians = eval_basis(el, pts, order=2)

@@ -20,7 +20,7 @@ def _plane_problem(domain_kind, direction, k=20.0, boundary=None):
 
 
 def _mesh_for(problem, n, q0):
-    return build_initial_mesh(problem.domain, n, problem.wavenumber_field(), q0)
+    return build_initial_mesh(problem.domain, n, problem.wavenumber, q0)
 
 
 def _solve_problem(mesh, problem, params=None):

@@ -23,13 +23,17 @@ from tdg.basis import (
     rotation_matrix_3d,
 )
 from tdg.mesh import DomainSpec, build_initial_mesh, refine_elements
-from tdg.problems import ConstantWavenumber
 from tdg.quadrature import facet_rule, grid_points, skeleton_batches, volume_rule
 from tdg.solution import DiscreteSolution
 
 
+def _constant_k(k):
+    """Map from points (m, d) to the wavenumber k at each, (m,)."""
+    return lambda points: np.full(len(points), float(k))
+
+
 def _element(kind="unit_square", k=10.0, q0=3):
-    mesh = build_initial_mesh(DomainSpec(kind=kind), 1, ConstantWavenumber(k), q0)
+    mesh = build_initial_mesh(DomainSpec(kind=kind), 1, _constant_k(k), q0)
     (element,) = mesh.elements.values()
     return element
 
@@ -140,7 +144,7 @@ def test_element_directions_override():
 def test_element_directions_follow_in_place_mesh_changes(kind, direction):
     # The table2/table3 protocols rotate frames and raise degrees in place;
     # the per-frame direction cache must follow both and yield to overrides.
-    mesh = build_initial_mesh(DomainSpec(kind=kind), 2, ConstantWavenumber(10.0), 2)
+    mesh = build_initial_mesh(DomainSpec(kind=kind), 2, _constant_k(10.0), 2)
     first, second = (mesh.elements[eid] for eid in mesh.element_ids()[:2])
 
     def check():
@@ -218,7 +222,7 @@ def test_eval_basis_equals_complex_exp_bit_for_bit(kind, k, q0, override):
 )
 def test_solution_on_grid_matches_pointwise_values(kind, k, override):
     # Mixed degrees, one rotated frame, and criterion 3's override shapes.
-    mesh = build_initial_mesh(DomainSpec(kind=kind), 2, ConstantWavenumber(k), 2)
+    mesh = build_initial_mesh(DomainSpec(kind=kind), 2, _constant_k(k), 2)
     direction = (0.6, 0.8) if kind == "unit_square" else (0.48, 0.6, 0.64)
     mesh.elements[mesh.element_ids()[0]].frame = frame_from_direction(direction)
     rng = np.random.default_rng(3)
@@ -242,7 +246,7 @@ def test_solution_on_grid_matches_pointwise_values(kind, k, override):
 @pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
 def test_stacked_volume_grids_equal_one_grid_calls(kind):
     # One rotated frame and one directions_override among equal-sized elements.
-    mesh = build_initial_mesh(DomainSpec(kind=kind), 2, ConstantWavenumber(20.0), 2)
+    mesh = build_initial_mesh(DomainSpec(kind=kind), 2, _constant_k(20.0), 2)
     elements = [mesh.elements[eid] for eid in mesh.element_ids()]
     direction = (0.6, 0.8) if kind == "unit_square" else (0.48, 0.6, 0.64)
     elements[0].frame = frame_from_direction(direction)
@@ -336,7 +340,7 @@ def test_canonical_frame_is_identity():
 
 def _trace_mesh(kind, n, marked):
     # Mixed degrees, one rotated frame and hanging facets.
-    mesh = build_initial_mesh(DomainSpec(kind=kind), n, ConstantWavenumber(17.0), 2)
+    mesh = build_initial_mesh(DomainSpec(kind=kind), n, _constant_k(17.0), 2)
     mesh = refine_elements(mesh, marked)
     direction = (0.6, 0.8) if kind == "unit_square" else (0.48, 0.6, 0.64)
     mesh.elements[mesh.element_ids()[0]].frame = frame_from_direction(direction)

@@ -39,7 +39,7 @@ EXPECTED_PRESETS = [
 
 def test_defaults_resolve_from_empty_text():
     config = load_config_text("")
-    assert config.domain.kind == "unit_square"
+    assert config.problem.domain.kind == "unit_square"
     assert config.n == 8
     assert config.problem.kind == "hankel_source"
     assert config.problem.k == 20.0
@@ -57,7 +57,7 @@ def test_defaults_resolve_from_empty_text():
     assert config.calibration_q == (3, 4, 5, 6, 7, 8)
     assert config.calibration_k == (20.0, 30.0, 40.0, 50.0)
     assert config.write_vtk is True
-    assert config.domain.boundary_partition == {"all": "robin"}
+    assert config.problem.domain.boundary_partition == {"all": "robin"}
 
 
 def test_readme_configuration_reference_loads():
@@ -67,6 +67,15 @@ def test_readme_configuration_reference_loads():
     section = readme.split("## Configuration reference", 1)[1]
     block = section.split("```ini\n", 1)[1].split("```", 1)[0]
     load_config_text(re.sub(r";.*", "", block))
+
+
+def test_readme_preset_table_lists_every_preset():
+    # Each bundled preset is named once in the README's table, and nothing else is.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Bundled presets", 1)[1].split("\n\n", 2)[1]
+    rows = table.splitlines()[2:]
+    listed = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(listed) == preset_names()
 
 
 def test_sections_and_protocols_are_pinned():
@@ -87,16 +96,16 @@ def test_unknown_key_and_section_are_rejected():
 
 def test_boundary_parsing_variants():
     config = load_config_text("[domain]\nboundary = xmin=dirichlet\n")
-    assert config.domain.boundary_partition == {"xmin": "dirichlet", "all": "robin"}
+    assert config.problem.domain.boundary_partition == {"xmin": "dirichlet", "all": "robin"}
     config = load_config_text(
         "[domain]\nboundary = all=dirichlet, ymax=robin\n"
     )
-    assert config.domain.boundary_partition == {"all": "dirichlet", "ymax": "robin"}
+    assert config.problem.domain.boundary_partition == {"all": "dirichlet", "ymax": "robin"}
     config = load_config_text(
         "[domain]\nkind = l_shape\nboundary = reentrant=dirichlet\n"
         "[problem]\nkind = singular_corner\n"
     )
-    assert config.domain.boundary_partition["reentrant"] == "dirichlet"
+    assert config.problem.domain.boundary_partition["reentrant"] == "dirichlet"
 
 
 def test_boundary_parsing_errors():
@@ -160,6 +169,14 @@ def test_problem_validation_is_wrapped():
         )
     with pytest.raises(ConfigError, match=r"\[problem\]"):
         load_config_text("[problem]\nimpedance_sign = 0.5\n")
+    transmission = load_config_text(
+        "[domain]\nkind = square2\n[problem]\nkind = transmission\n"
+        "omega = 11\nindex_below = 2\nindex_above = 1\nincidence_deg = 69\n"
+    )
+    for key, text in (("index_below", "-2"), ("omega", "-11"), ("omega", "0"),
+                      ("index_above", "0")):
+        with pytest.raises(ConfigError, match=rf"\[problem\] transmission {key} must be positive"):
+            override(transmission, {"problem": {key: text}})
 
 
 def test_transmission_config_builds():
@@ -242,7 +259,7 @@ def test_every_preset_builds(name):
     if "_hp_" in name:
         assert config.adapt.mode == "hp"
     if name.startswith("ex4"):
-        assert config.domain.kind == "unit_cube"
+        assert config.problem.domain.kind == "unit_cube"
 
 
 def test_unknown_preset_lists_alternatives():

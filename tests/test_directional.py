@@ -18,14 +18,18 @@ from tdg.directional import (
     symmetric_eigenpairs,
 )
 from tdg.mesh import DomainSpec, build_initial_mesh
-from tdg.problems import ConstantWavenumber
 from tdg.solution import DiscreteSolution
 
 K = 20.0
 
 
+def _constant_k(k):
+    """Map from points (m, d) to the wavenumber k at each, (m,)."""
+    return lambda points: np.full(len(points), float(k))
+
+
 def _mesh(n=2, q0=3, kind="unit_square"):
-    return build_initial_mesh(DomainSpec(kind=kind), n, ConstantWavenumber(K), q0)
+    return build_initial_mesh(DomainSpec(kind=kind), n, _constant_k(K), q0)
 
 
 def _single_wave_solution(mesh, index=1, amplitude=1.0 + 0.0j):

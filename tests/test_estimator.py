@@ -29,7 +29,7 @@ def _plane_problem(boundary=None):
 
 
 def _mesh(problem, n=2, q0=3):
-    return build_initial_mesh(problem.domain, n, problem.wavenumber_field(), q0)
+    return build_initial_mesh(problem.domain, n, problem.wavenumber, q0)
 
 
 def _element_at(mesh, centroid):
@@ -224,7 +224,7 @@ def _mixed_case(kind):
         boundary, direction, n, marked = {"all": ROBIN, "zmax": DIRICHLET}, (0.0, 0.6, 0.8), 2, [0]
     domain = DomainSpec(kind=kind, boundary_partition=boundary)
     problem = ProblemSpec(kind="plane_wave", domain=domain, k=K, direction=direction)
-    mesh = refine_elements(build_initial_mesh(domain, n, problem.wavenumber_field(), 2), marked)
+    mesh = refine_elements(build_initial_mesh(domain, n, problem.wavenumber, 2), marked)
     for eid, el in mesh.elements.items():
         el.degree = 1 + eid % 3
     rng = np.random.default_rng(3)

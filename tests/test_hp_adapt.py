@@ -17,7 +17,6 @@ from tdg.hp_adapt import (
     plan_refinement,
 )
 from tdg.mesh import DomainSpec, build_initial_mesh, refine_elements
-from tdg.problems import ConstantWavenumber
 
 
 def _record(eid, eta, eta_pred=math.inf):
@@ -25,8 +24,13 @@ def _record(eid, eta, eta_pred=math.inf):
                            robin=0.0, dirichlet=0.0, eta_pred=eta_pred)
 
 
+def _constant_k(k):
+    """Map from points (m, d) to the wavenumber k at each, (m,)."""
+    return lambda points: np.full(len(points), float(k))
+
+
 def _mesh(n=2, q0=3, kind="unit_square"):
-    return build_initial_mesh(DomainSpec(kind=kind), n, ConstantWavenumber(20.0), q0)
+    return build_initial_mesh(DomainSpec(kind=kind), n, _constant_k(20.0), q0)
 
 
 def _neighbours(mesh):
@@ -206,7 +210,7 @@ def test_decide_copies_the_mesh_once(monkeypatch):
     # copies plus 4 children, not a second copy of all 48.
     from tdg.mesh import Element
 
-    mesh = build_initial_mesh(DomainSpec(kind="l_shape"), 8, ConstantWavenumber(20.0), 3)
+    mesh = build_initial_mesh(DomainSpec(kind="l_shape"), 8, _constant_k(20.0), 3)
     assert len(mesh.elements) == 48
     records = [_record(eid, 1.0, eta_pred=0.5 if eid == 0 else math.inf)
                for eid in mesh.elements]

@@ -15,12 +15,17 @@ from tdg.mesh import (
     refine_elements,
     skeleton_facets,
 )
-from tdg.problems import ConstantWavenumber
+from tdg.problems import ProblemSpec
+
+
+def _constant_k(k):
+    """Map from points (m, d) to the wavenumber k at each, (m,)."""
+    return lambda points: np.full(len(points), float(k))
 
 
 def _mesh(kind="unit_square", n=4, k=20.0, q0=3, boundary=None):
     domain = DomainSpec(kind=kind, boundary_partition=boundary or {"all": ROBIN})
-    return build_initial_mesh(domain, n, ConstantWavenumber(k), q0)
+    return build_initial_mesh(domain, n, _constant_k(k), q0)
 
 
 def _measures(facets):
@@ -71,6 +76,19 @@ def test_domain_spec_rejects_unknown_tag_side_and_kind(spec, message):
 def test_l_shape_requires_even_resolution():
     with pytest.raises(MeshError):
         _mesh(kind="l_shape", n=3)
+
+
+def test_initial_grid_must_resolve_the_material_interface():
+    domain = DomainSpec(kind="square2", boundary_partition={"all": DIRICHLET})
+    problem = ProblemSpec(kind="transmission", domain=domain, omega=11.0, index_below=2.0,
+                          index_above=1.0, incidence_deg=69.0)
+    for n in (3, 5):
+        with pytest.raises(MeshError, match=f"n={n} does not resolve the material interface"):
+            build_initial_mesh(domain, n, problem.wavenumber, 2)
+    mesh = build_initial_mesh(domain, 4, problem.wavenumber, 2)
+    assert len(mesh.elements) == 16
+    for el in mesh.elements.values():
+        assert el.k == (22.0 if el.centroid[1] < 0.0 else 11.0)
 
 
 def test_l_shape_excludes_fourth_quadrant():

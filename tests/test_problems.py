@@ -1,5 +1,6 @@
 """Benchmark problems: exact solutions, interface physics, boundary data."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -10,8 +11,6 @@ from numpy.testing import assert_allclose
 from tdg.basis import frame_from_direction
 from tdg.mesh import DIRICHLET, ROBIN, DomainSpec, build_initial_mesh, refine_elements
 from tdg.problems import (
-    ConstantWavenumber,
-    InterfaceWavenumber,
     ProblemError,
     ProblemSpec,
     l2_errors,
@@ -231,6 +230,14 @@ def test_robin_boundary_data_definition():
     g2 = flipped.boundary_data(ROBIN, pts, normal)
     assert_allclose(g2, grad @ normal - 1j * 20.0 * u, rtol=1e-14)
 
+    # A piecewise wavenumber enters pointwise; y = 0 takes k_below = 22.
+    problem = transmission_problem(69.0)
+    pts = np.array([[-1.0, -0.5], [-1.0, 0.0], [-1.0, 0.5]])
+    normal = np.array([-1.0, 0.0])
+    g = problem.boundary_data(ROBIN, pts, normal)
+    u, grad = problem.exact_solution(pts, gradient=True)
+    assert_allclose(g, grad @ normal + 1j * np.array([22.0, 22.0, 11.0]) * u, rtol=1e-14)
+
 
 def test_dirichlet_boundary_data_is_trace():
     problem = transmission_problem(69.0)
@@ -246,32 +253,34 @@ def test_boundary_data_unknown_tag():
 
 
 def test_wavenumber_fields():
-    const = ConstantWavenumber(20.0)
-    assert const(np.array([0.3, 0.3])) == 20.0
+    pts = np.array([[0.1, -0.4], [0.1, 0.4], [0.3, 0.3]])
+    assert np.array_equal(hankel_problem().wavenumber(pts), [20.0, 20.0, 20.0])
 
     problem = transmission_problem(69.0)
-    field = problem.wavenumber_field()
-    assert isinstance(field, InterfaceWavenumber)
-    assert field(np.array([0.1, -0.4])) == 22.0
-    assert field(np.array([0.1, 0.4])) == 11.0
+    assert np.array_equal(problem.wavenumber(pts), [22.0, 11.0, 11.0])
     assert problem.facet_wavenumber(22.0, 11.0) == 11.0
     assert problem.facet_wavenumber(22.0, 22.0) == 22.0
+    k_a, k_b = np.array([22.0, 22.0, 11.0]), np.array([11.0, 22.0, 11.0])
+    assert np.array_equal(problem.facet_wavenumber(k_a, k_b), [11.0, 22.0, 11.0])
 
     uniform = hankel_problem()
     assert uniform.facet_wavenumber(20.0, 20.0) == 20.0
     with pytest.raises(ProblemError):
         uniform.facet_wavenumber(20.0, 21.0)
+    with pytest.raises(ProblemError):
+        uniform.facet_wavenumber(np.array([20.0, 20.0]), np.array([20.0, 21.0]))
 
 
 def test_wavenumber_at_points_matches_per_point_lookup():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.0, 1.0, (40, 2))
     pts[::4, 1] = 0.0  # exactly on the interface, which counts as below
-    interface = transmission_problem(69.0).wavenumber_field()
-    for field in (ConstantWavenumber(20.0), interface):
-        expected = np.array([field(p) for p in pts])
-        assert np.array_equal(field.at_points(pts), expected)
-    assert np.all(interface.at_points(pts[::4]) == 22.0)
+    interface = transmission_problem(69.0)
+    for problem in (hankel_problem(), interface):
+        expected = np.array([problem.wavenumber(p[None, :])[0] for p in pts])
+        assert np.array_equal(problem.wavenumber(pts), expected)
+    assert np.all(interface.wavenumber(pts[::4]) == 22.0)
+    assert np.array_equal(interface.wavenumber(pts), np.where(pts[:, 1] <= 0.0, 22.0, 11.0))
 
 
 def test_validation_errors():
@@ -291,6 +300,10 @@ def test_validation_errors():
     with pytest.raises(ProblemError):
         ProblemSpec(kind="hankel_source", domain=_domain(), k=20.0,
                     impedance_sign=0.5)
+    # Non-positive media parameters divide by zero in the skeleton or make the system singular.
+    for bad in ({"omega": -11.0}, {"omega": 0.0}, {"index_below": -2.0}, {"index_above": 0.0}):
+        with pytest.raises(ProblemError, match="must be positive"):
+            dataclasses.replace(transmission_problem(69.0), **bad)
 
 
 def test_transmission_wave_parameters():
@@ -316,7 +329,7 @@ def _grids(problem):
 
     The boundary batches cover both signs of every normal axis.
     """
-    mesh = build_initial_mesh(problem.domain, 2, problem.wavenumber_field(), 2)
+    mesh = build_initial_mesh(problem.domain, 2, problem.wavenumber, 2)
     mesh = refine_elements(mesh, [min(mesh.elements)], raise_degree=[max(mesh.elements)])
     grids = [(volume_rule(el).axes, None) for el in mesh.elements.values()]
     sides = set()
@@ -386,7 +399,7 @@ def _cache_case(name):
     else:
         problem, n, q = plane_problem(), 2, 2
         steps = [_rotate_first, lambda m: refine_elements(m, [3])]
-    mesh = build_initial_mesh(problem.domain, n, problem.wavenumber_field(), q)
+    mesh = build_initial_mesh(problem.domain, n, problem.wavenumber, q)
     return problem, mesh, steps
 
 

@@ -9,11 +9,9 @@ from tdg.mesh import (
     DIRICHLET,
     ROBIN,
     DomainSpec,
-    InterfaceWavenumber,
     build_initial_mesh,
     refine_elements,
 )
-from tdg.problems import ConstantWavenumber
 from tdg.quadrature import (
     BATCH_VALUES,
     _gauss_nodes,
@@ -26,9 +24,14 @@ from tdg.quadrature import (
 )
 
 
+def _constant_k(k):
+    """Map from points (m, d) to the wavenumber k at each, (m,)."""
+    return lambda points: np.full(len(points), float(k))
+
+
 def _mesh(n=1, k=10.0, q0=3, kind="unit_square", boundary=None):
     domain = DomainSpec(kind=kind, boundary_partition=boundary or {"all": ROBIN})
-    return build_initial_mesh(domain, n, ConstantWavenumber(k), q0)
+    return build_initial_mesh(domain, n, _constant_k(k), q0)
 
 
 def _measure(facets, f):
@@ -359,7 +362,9 @@ def test_box_gram_rotated_frames_and_override(kind):
 
 
 def test_box_gram_transmission_facet():
-    field = InterfaceWavenumber(axis=1, position=0.0, below=15.0, above=24.0)
+    def field(points):
+        return np.where(points[:, 1] <= 0.0, 15.0, 24.0)
+
     mesh = build_initial_mesh(DomainSpec(kind="square2"), 4, field, 3)
     facets = mesh.facets()
     across = [f for f in _interior(facets)

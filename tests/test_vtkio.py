@@ -7,19 +7,23 @@ import pytest
 
 from tdg.basis import frame_from_direction
 from tdg.mesh import DomainSpec, build_initial_mesh, refine_elements
-from tdg.problems import ConstantWavenumber
 from tdg.vtkio import write_vtk
+
+
+def _constant_k(k):
+    """Map from points (m, d) to the wavenumber k at each, (m,)."""
+    return lambda points: np.full(len(points), float(k))
 
 
 def _mesh2d(n=2, q0=3):
     return build_initial_mesh(
-        DomainSpec(kind="unit_square"), n, ConstantWavenumber(20.0), q0
+        DomainSpec(kind="unit_square"), n, _constant_k(20.0), q0
     )
 
 
 def _mesh3d(n=2, q0=2):
     return build_initial_mesh(
-        DomainSpec(kind="unit_cube"), n, ConstantWavenumber(10.0), q0
+        DomainSpec(kind="unit_cube"), n, _constant_k(10.0), q0
     )
 
 
