@@ -20,8 +20,6 @@ That equals np.exp of the product bit for bit, for two measured reasons
 - a real phase product (x - x_K) @ (k d)^T rounds differently for one-
   and two-wave sets and moves acceptance criterion 3's refraction error
   from 8.9e-16 to 9.7e-16.
-Derivatives along one vector (facet normals) come from
-eval_basis_derivative without forming the (m, p, dim) gradient.
 A frame is immutable, so it caches its rotated direction set per wave
 count p; an element's directions_override bypasses the frame.
 
@@ -195,17 +193,6 @@ def eval_basis(element, points, order=0):
     if order == 2:
         return values, grads, hessians
     raise ValueError(f"order must be 0, 1 or 2, got {order}")
-
-
-def eval_basis_derivative(element, points, direction):
-    """Plane-wave values (m, p) and their derivatives along `direction` (m, p).
-
-    The derivative of exp(i k d_l . (x - x_K)) along a vector n is the
-    value times i k d_l . n, so the (m, p, dim) gradient is never formed.
-    """
-    values = eval_basis(element, points)
-    ikd = 1j * element.k * element_directions(element)
-    return values, values * (ikd @ direction)
 
 
 class WaveTable:

@@ -60,6 +60,10 @@ def main(argv=None):
 
     try:
         records = run_experiment(config, out_dir=args.out)
+    except MeshError as exc:
+        # The initial grid is built first, so nothing has been written yet.
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except SingularSystemError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -6,6 +6,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 from .assembly import PenaltyParams
 from .directional import POLICIES
@@ -263,11 +264,11 @@ def override(config, values):
 
 def load_config(path):
     """Parse and validate a config file into an ExperimentConfig."""
-    parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    return _build(_resolve(parser))
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}") from exc
+    return load_config_text(text)
 
 
 def load_config_text(text):

@@ -52,10 +52,6 @@ class IndicatorRecord:
     dirichlet: float
     eta_pred: float = math.inf
 
-    @property
-    def components(self):
-        return (self.jump_u, self.jump_gradu, self.robin, self.dirichlet)
-
 
 def _weighted_squares(weights, values):
     """Per-facet quadrature sums of |values|^2, (F,) from (F, m) arrays."""

@@ -1,8 +1,5 @@
 """Discrete solution: per-element coefficient vectors over the plane waves.
 
-`value_and_derivative` is the tests' pointwise reference for u_h and one
-directional derivative, from `basis.eval_basis_derivative`.
-
 `on_grid` forms u_h on one element's tensor grid from per-axis factors
 (`basis.grid_waves` and `basis.grid_sum`, with one grid); its values feed
 only the exact-error report, never the mesh.
@@ -10,9 +7,7 @@ only the exact-error report, never the mesh.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .basis import element_directions, eval_basis_derivative, grid_sum, grid_waves
+from .basis import element_directions, grid_sum, grid_waves
 
 
 @dataclass
@@ -32,9 +27,3 @@ class DiscreteSolution:
         kd = element.k * element_directions(element)
         factors = grid_waves(kd[None], element.centroid[None], axes)
         return grid_sum(factors, self.coefficients[element.id][None])[0]
-
-    def value_and_derivative(self, element, points, direction):
-        """Values and derivatives along `direction` at the points, each (m,)."""
-        values, dvals = eval_basis_derivative(element, points, direction)
-        coeff = self.coefficients[element.id]
-        return values @ coeff, np.einsum("mp,p->m", dvals, coeff)

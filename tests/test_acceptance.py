@@ -33,7 +33,7 @@ from tdg.problems import ProblemSpec, l2_errors
 from tdg.quadrature import facet_rule
 from tdg.solution import DiscreteSolution
 from tdg.solve import solve
-from tdg.special import bessel_j, bessel_y, hankel1
+from tdg.special import bessel_j, hankel1
 
 REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 
@@ -468,8 +468,8 @@ def test_criterion_8_quadrature_special_function_and_trefftz_oracles():
         (bessel_j(0, 0.5), 0.9384698072408129),
         (bessel_j(2.0 / 3.0, 1.0), 0.5979499736736285),
         (bessel_j(1, 3.7), 0.05383398774546186),
-        (bessel_y(0, 1.0), 0.08825696421567696),
-        (bessel_y(1, 2.5), 0.1459181379667858),
+        (hankel1(0, 1.0).imag, 0.08825696421567696),
+        (hankel1(1, 2.5).imag, 0.1459181379667858),
         (hankel1(0, 5.0), -0.1775967713143383 - 0.3085176252490338j),
         (hankel1(1, 5.0), -0.3275791375914652 + 0.1478631433912268j),
     ]

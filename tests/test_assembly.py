@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from tdg.assembly import PenaltyParams, assemble_system
-from tdg.basis import eval_basis_derivative, frame_from_direction
+from tdg.basis import eval_basis, frame_from_direction
 from tdg.mesh import DIRICHLET, ROBIN, DomainSpec, build_initial_mesh, refine_elements
 from tdg.problems import ProblemSpec, l2_errors
 from tdg.quadrature import facet_rule
@@ -201,7 +201,8 @@ def _reference_system(mesh, problem, params=PenaltyParams()):
         rule = facet_rule(facets.lo[f], facets.hi[f], facets.axis[f],
                           max(el.k for el in sides), max(el.degree for el in sides))
         w = rule.weights[:, None]
-        traces = [eval_basis_derivative(el, rule.points, facets.normal[f]) for el in sides]
+        traces = [(v, g @ facets.normal[f]) for v, g in
+                  (eval_basis(el, rule.points, order=1) for el in sides)]
         if side_b < 0:
             ((v, g),) = traces
             data = rule.weights * problem.boundary_data(tag, rule.points, facets.normal[f])

@@ -15,7 +15,6 @@ from tdg.basis import (
     canonical_directions,
     element_directions,
     eval_basis,
-    eval_basis_derivative,
     frame_from_direction,
     grid_sum,
     grid_waves,
@@ -266,25 +265,6 @@ def test_stacked_volume_grids_equal_one_grid_calls(kind):
         assert np.array_equal(values, solution.on_grid(el, rule.axes))
 
 
-@pytest.mark.parametrize("kind,q0", [("unit_square", 4), ("unit_cube", 3)])
-def test_eval_basis_derivative_matches_gradient(kind, q0):
-    element = _element(kind=kind, k=20.0, q0=q0)
-    rng = np.random.default_rng(5)
-    pts = element.lo + rng.random((50, element.dim)) * (element.hi - element.lo)
-    values, grads = eval_basis(element, pts, order=1)
-    for axis in range(element.dim):
-        for sign in (1.0, -1.0):
-            normal = np.zeros(element.dim)
-            normal[axis] = sign
-            dvalues, dnorm = eval_basis_derivative(element, pts, normal)
-            assert np.array_equal(dvalues, values)
-            assert np.array_equal(dnorm, grads @ normal)
-    oblique = np.arange(1.0, element.dim + 1.0)
-    oblique /= np.linalg.norm(oblique)
-    _, doblique = eval_basis_derivative(element, pts, oblique)
-    assert_allclose(doblique, grads @ oblique, rtol=1e-13, atol=0.0)
-
-
 def test_eval_basis_gradient_matches_finite_differences():
     element = _element(k=7.0)
     pts = np.array([[0.31, 0.62]])
@@ -387,7 +367,8 @@ def test_3d_trace_factors_match_eval_basis_on_facet_rules():
                 k_max = max(mesh.elements[s].k for s in sides)
                 q_max = max(mesh.elements[s].degree for s in sides)
                 rule = facet_rule(facets.lo[f], facets.hi[f], axis, k_max, q_max)
-                want, dwant = eval_basis_derivative(mesh.elements[eid], rule.points, normal)
+                want, grads = eval_basis(mesh.elements[eid], rule.points, order=1)
+                dwant = grads @ normal
                 assert_allclose(values[j], want, rtol=0.0, atol=1e-13)
                 assert_allclose(values[j] * dn[j], dwant, rtol=0.0, atol=1e-13 * 17.0)
                 normals.add((int(axis), int(normal[axis])))

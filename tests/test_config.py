@@ -234,8 +234,9 @@ def test_load_config_roundtrip(tmp_path):
     config = load_config(path)
     assert config.n == 2
     assert config.adapt.max_iters == 1
-    with pytest.raises(ConfigError, match="cannot read config file"):
-        load_config(tmp_path / "missing.ini")
+    for unreadable in (tmp_path / "missing.ini", tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(unreadable)
 
 
 def test_preset_inventory():

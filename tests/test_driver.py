@@ -467,6 +467,24 @@ def test_cli_invalid_config_contents(tmp_path, capsys):
     assert "unknown domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[domain]\nkind = l_shape\nn = 3\n[problem]\nkind = singular_corner\n",
+     "l_shape needs an even initial resolution, got n=3"),
+    ("[domain]\nkind = square2\nn = 3\nboundary = all=dirichlet\n[problem]\n"
+     "kind = transmission\nomega = 11\nindex_below = 2\nindex_above = 1\nincidence_deg = 29\n",
+     "does not resolve the material interface"),
+], ids=["l_shape", "square2"])
+def test_cli_rejected_initial_grid_is_a_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "grid.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_happy_path_with_overrides(tmp_path, capsys):
     path = tmp_path / "c.ini"
     path.write_text(SMALL.format(iters=5, extra=""))
