@@ -20,8 +20,7 @@ That equals np.exp of the product bit for bit, for two measured reasons
 - a real phase product (x - x_K) @ (k d)^T rounds differently for one-
   and two-wave sets and moves acceptance criterion 3's refraction error
   from 8.9e-16 to 9.7e-16.
-A frame is immutable, so it caches its rotated direction set per wave
-count p; an element's directions_override bypasses the frame.
+An element's directions_override bypasses the frame.
 
 On a tensor grid a wave factors over the axes (sum factorisation;
 Orszag, J. Comput. Phys. 37, 1980).  Every pass gives its F grids one way,
@@ -38,7 +37,6 @@ eval_basis(...) @ c in the last bits.  Both skeleton passes and
 DiscreteSolution.on_grid evaluate grids with these two functions only.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from math import atan2, pi
@@ -48,27 +46,6 @@ import numpy as np
 
 class UnsupportedDegreeError(Exception):
     """No direction set available for the requested basis size."""
-
-
-@dataclass(frozen=True, eq=False)
-class DirectionFrame:
-    """Rigid rotation applied to an element's canonical direction set.
-
-    `matrix` is orthogonal, (dim, dim), and maps the canonical first
-    direction, (1, 0) or (0, 0, 1), to the frame's; None means identity.
-    Frames compare by identity.
-    """
-
-    dim: int
-    matrix: np.ndarray | None = None
-    _directions: dict = field(default_factory=dict, init=False, repr=False)
-
-    def directions(self, p):
-        """rotated_directions(p, self), computed once per p on this frame."""
-        dirs = self._directions.get(p)
-        if dirs is None:
-            dirs = self._directions[p] = rotated_directions(p, self)
-        return dirs
 
 
 @lru_cache(maxsize=None)
@@ -108,27 +85,21 @@ def canonical_directions(p, dim):
     raise UnsupportedDegreeError(f"unsupported dimension {dim}")
 
 
-def rotated_directions(p, frame):
-    """Canonical directions mapped by the frame rotation."""
-    base = canonical_directions(p, frame.dim)
-    return base if frame.matrix is None else base @ frame.matrix.T
-
-
 def frame_from_direction(direction):
-    """Frame whose first direction is the given unit vector.
+    """Rotation matrix (dim, dim) mapping the canonical first direction to `direction`.
 
-    In 2D, the rotation by theta = atan2(d_y, d_x) mod 2 pi; the identity
-    frame when theta == 0, so a canonical fan keeps its bits.
+    In 2D, the rotation by theta = atan2(d_y, d_x) mod 2 pi; None (the
+    canonical fan) when theta == 0, so that fan keeps its bits.
     """
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     if d.shape[0] == 3:
-        return DirectionFrame(3, rotation_matrix_3d(d))
+        return rotation_matrix_3d(d)
     theta = atan2(d[1], d[0]) % (2.0 * pi)
     if theta == 0.0:
-        return DirectionFrame(2)
+        return None
     c, s = np.cos(theta), np.sin(theta)
-    return DirectionFrame(2, np.array([[c, -s], [s, c]]))
+    return np.array([[c, -s], [s, c]])
 
 
 def rotation_matrix_3d(direction):
@@ -155,7 +126,8 @@ def element_directions(element):
     """Direction set actually used by an element, shape (p, dim)."""
     if element.directions_override is not None:
         return element.directions_override
-    return element.frame.directions(element.n_waves)
+    base = canonical_directions(element.n_waves, element.dim)
+    return base if element.frame is None else base @ element.frame.T
 
 
 def _exp_in_place(values):

@@ -268,12 +268,16 @@ def load_config(path):
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}") from exc
-    return load_config_text(text)
+    return load_config_text(text, source=str(path))
 
 
-def load_config_text(text):
+def load_config_text(text, source="<string>"):
+    """Parse and validate config text; parse errors name `source`, one line."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text)
+    try:
+        parser.read_string(text, source)
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(str(exc).split())) from exc
     return _build(_resolve(parser))
 
 

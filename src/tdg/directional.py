@@ -135,7 +135,7 @@ def apply_directional_adaptivity(mesh, solution, policy, h_marked=(), p_marked=(
     to be p-refined), ``marked-all`` (everything marked for refinement, with
     any h-subdivision happening afterwards so children inherit the new frame),
     or ``all``.  Elements without a clear dominant direction keep their frame.
-    Returns the mapping of element id to new frame for the elements updated.
+    Returns {element id: new frame, a rotation matrix or None} for the updated elements.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown directional policy {policy!r}; expected one of {POLICIES}")

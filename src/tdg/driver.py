@@ -79,11 +79,9 @@ def _exact_cache(problem):
     return {} if problem.kind in ("hankel_source", "singular_corner") else None
 
 
-def _measure(mesh, solution, report, config, predictions, it, wall_ms, cache):
+def _measure(mesh, solution, report, config, it, wall_ms, cache):
     """Iteration record, indicator records and the (abs, norm) exact L2 errors."""
-    records = indicators(
-        mesh, solution, config.problem, config.penalties, predictions=predictions
-    )
+    records = indicators(mesh, solution, config.problem, config.penalties)
     abs_err, exact_norm = l2_errors(solution, config.problem, cache)
     estimate = global_estimate(records)
     eff = effectivities(records, abs_err)
@@ -103,7 +101,7 @@ def _measure(mesh, solution, report, config, predictions, it, wall_ms, cache):
     return record, records, (abs_err, exact_norm)
 
 
-def _step(mesh, config, predictions, it, history, out_dir, cache):
+def _step(mesh, config, it, history, out_dir, cache):
     """Solve, measure and record one configuration (plus its VTK snapshot).
 
     Returns the solution, the indicator records and the exact L2 errors.
@@ -112,7 +110,7 @@ def _step(mesh, config, predictions, it, history, out_dir, cache):
     solution, report = _solve_on(mesh, config)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     record, indicator_records, errors = _measure(
-        mesh, solution, report, config, predictions, it, wall_ms, cache
+        mesh, solution, report, config, it, wall_ms, cache
     )
     history.append(record)
     if out_dir is not None and config.write_vtk:
@@ -132,14 +130,12 @@ def run_adapt_loop(config, out_dir=None, history=None):
     """
     history = [] if history is None else history
     mesh = initial_mesh(config)
-    predictions = None
+    predictions = {}
     cache = _exact_cache(config.problem)
     previous_estimate = None
     rises = 0
     for it in range(config.adapt.max_iters + 1):
-        solution, indicator_records, _ = _step(
-            mesh, config, predictions, it, history, out_dir, cache
-        )
+        solution, indicator_records, _ = _step(mesh, config, it, history, out_dir, cache)
         record = history[-1]
         if it == config.adapt.max_iters:
             break
@@ -154,11 +150,13 @@ def run_adapt_loop(config, out_dir=None, history=None):
                 break
             previous_estimate = record.estimate
         marks = mark_elements(indicator_records, config.adapt.fraction)
-        plan = plan_refinement(marks, indicator_records, config.adapt)
+        plan = plan_refinement(marks, indicator_records, predictions, config.adapt)
         apply_directional_adaptivity(
             mesh, solution, config.adapt.policy, h_marked=plan[0], p_marked=plan[1]
         )
-        mesh, predictions = decide_and_refine(mesh, plan, indicator_records, config.adapt)
+        mesh, predictions = decide_and_refine(
+            mesh, plan, indicator_records, predictions, config.adapt
+        )
         enforce_degree_compatibility(mesh)
     return history
 
@@ -191,7 +189,7 @@ def run_table2_protocol(config, out_dir=None, history=None, rows=None):
             apply_directional_adaptivity(ada_mesh, ada_solution, "all")
         _set_uniform_degree(ada_mesh, q)
         ada_solution, _, (ada_abs, _) = _step(
-            ada_mesh, config, None, step, history, out_dir, cache
+            ada_mesh, config, step, history, out_dir, cache
         )
         rows.append({
             "q": q,
@@ -224,7 +222,7 @@ def run_table3_protocol(config, out_dir=None, history=None, rows=None):
             if pass_idx > 0:
                 apply_directional_adaptivity(mesh, solution, "all")
             solution, _, (abs_err, exact_norm) = _step(
-                mesh, config, None, counter, history, out_dir, cache
+                mesh, config, counter, history, out_dir, cache
             )
             errors_rel.append(abs_err / exact_norm)
             errors_scaled.append(abs_err / exact_norm**2)

@@ -50,7 +50,6 @@ class IndicatorRecord:
     jump_gradu: float
     robin: float
     dirichlet: float
-    eta_pred: float = math.inf
 
 
 def _weighted_squares(weights, values):
@@ -65,7 +64,7 @@ def _traces(waves, ids, p, batch):
     return grid_sum(factors, coeffs), grid_sum(factors, dn * coeffs), k
 
 
-def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None):
+def indicators(mesh, solution, problem, params=PenaltyParams()):
     """Indicator records for every element, ordered by element id."""
     ids = np.array(mesh.element_ids())
     waves = WaveTable(mesh.elements, solution.coefficients)
@@ -91,7 +90,6 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
         else:
             np.add.at(raw[:, 3], rows_a, _weighted_squares(w, data - u))
     records = []
-    predictions = predictions or {}
     for eid, (ju_sq, jg_sq, ro_sq, di_sq) in zip(ids.tolist(), raw.tolist()):
         el = mesh.elements[eid]
         h = el.h
@@ -108,7 +106,6 @@ def indicators(mesh, solution, problem, params=PenaltyParams(), predictions=None
             jump_gradu=math.sqrt(jg2),
             robin=math.sqrt(ro2),
             dirichlet=math.sqrt(di2),
-            eta_pred=predictions.get(eid, math.inf),
         ))
     return records
 

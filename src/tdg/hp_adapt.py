@@ -1,10 +1,11 @@
 """Fixed-fraction marking and the h-versus-p refinement decision.
 
-Each element carries a predicted indicator value from the refinement that
-produced it.  A marked element whose current indicator still exceeds the
-prediction failed to converge at the expected rate and is h-refined;
-otherwise it is p-enriched.  Initial elements start with an infinite
-prediction, so the first refinement of any element is a p-step.
+The forecast indicator of each element lives in a dict {id: value} that
+`decide_and_refine` returns and the adapt loop passes to the next step's
+`plan_refinement` and `decide_and_refine`.  A marked element whose current
+indicator still exceeds its forecast failed to converge at the expected
+rate and is h-refined; otherwise it is p-enriched.  A missing id counts as
+an infinite forecast, so the first refinement of any element is a p-step.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ def mark_elements(records, fraction):
     return {r.element for r in ranked[:count]}
 
 
-def plan_refinement(marks, records, config):
+def plan_refinement(marks, records, predictions, config):
     """Split the marked ids into (h_set, p_set) by the prediction test."""
-    by_id = {r.element: r for r in records}
+    eta = {r.element: r.eta for r in records}
     h_set = set()
     p_set = set()
     for eid in sorted(marks):
-        record = by_id[eid]
-        if record.eta > record.eta_pred:
+        if eta[eid] > predictions.get(eid, math.inf):
             h_set.add(eid)
         else:
             p_set.add(eid)
@@ -63,35 +63,35 @@ def plan_refinement(marks, records, config):
     return h_set, p_set
 
 
-def decide_and_refine(mesh, plan, records, config):
+def decide_and_refine(mesh, plan, records, predictions, config):
     """Apply the (h_set, p_set) plan of `plan_refinement` and forecast the next indicators.
 
-    Returns ``(new_mesh, predictions)`` where ``predictions`` maps every
-    element id of the new mesh to its predicted indicator value.  Degree
-    bumps happen before subdivision so elements p-enriched this step but
-    split anyway by mesh closure pass the higher degree to their children;
-    closure-split elements use the subdivision prediction formula with
-    their own indicator.
+    `predictions` holds the forecasts for `mesh`.  Returns ``(new_mesh,
+    forecasts)``, where ``forecasts`` maps every element id of the new mesh
+    to its predicted indicator value.  Degree bumps happen before
+    subdivision so elements p-enriched this step but split anyway by mesh
+    closure pass the higher degree to their children; closure-split
+    elements use the subdivision prediction formula with their own
+    indicator.
     """
-    by_id = {r.element: r for r in records}
+    eta = {r.element: r.eta for r in records}
     h_set, p_set = plan
     new_mesh = refine_elements(mesh, h_set, raise_degree=p_set)
     n_children = 1 << mesh.dim
-    predictions = {}
+    forecasts = {}
     for parent, children in new_mesh.last_refined.items():
-        eta = by_id[parent].eta
         q_parent = mesh.elements[parent].degree + (parent in p_set)
-        pred_sq = (1.0 / n_children) * config.gamma_h * 0.5 ** (2 * q_parent) * eta ** 2
+        pred_sq = (1.0 / n_children) * config.gamma_h * 0.5 ** (2 * q_parent) * eta[parent] ** 2
         for cid in children:
-            predictions[cid] = math.sqrt(pred_sq)
+            forecasts[cid] = math.sqrt(pred_sq)
     for eid in new_mesh.elements:
-        if eid in predictions:
+        if eid in forecasts:
             continue
         if eid in p_set:
-            predictions[eid] = math.sqrt(config.gamma_p) * by_id[eid].eta
+            forecasts[eid] = math.sqrt(config.gamma_p) * eta[eid]
         else:
-            predictions[eid] = math.sqrt(config.gamma_n) * by_id[eid].eta_pred
-    return new_mesh, predictions
+            forecasts[eid] = math.sqrt(config.gamma_n) * predictions.get(eid, math.inf)
+    return new_mesh, forecasts
 
 
 def enforce_degree_compatibility(mesh):

@@ -8,14 +8,14 @@ face-adjacent leaves differ by at most one level, enforced by closure.
 Each root takes its wavenumber from a map of points given to
 `build_initial_mesh` (in the solver, `ProblemSpec.wavenumber`) and its
 descendants inherit it; the mesh knows no material rule of its own.
+An element's `frame`, an orthogonal (dim, dim) array or None for the
+canonical plane-wave fan, passes to its children in the same way.
 """
 
 import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from .basis import DirectionFrame
 
 ROBIN = "robin"
 DIRICHLET = "dirichlet"
@@ -94,7 +94,7 @@ class Element:
     hi: np.ndarray
     k: float
     degree: int
-    frame: DirectionFrame
+    frame: np.ndarray | None
     directions_override: np.ndarray | None = None
 
     def __post_init__(self):
@@ -243,9 +243,8 @@ def build_initial_mesh(domain, n, wavenumber, q0):
     quarters = (centroids[:, None] + offsets * (hi - lo)[:, None]).reshape(-1, domain.dim)
     if np.any(wavenumber(quarters).reshape(len(cells), -1) != k[:, None]):
         raise MeshError(f"initial grid n={n} does not resolve the material interface")
-    frame = DirectionFrame(domain.dim)
     for cell, k_root in zip(cells, k.tolist()):
-        mesh._add_leaf(0, cell, k_root, int(q0), frame, None)
+        mesh._add_leaf(0, cell, k_root, int(q0), None, None)
     return mesh
 
 

@@ -86,6 +86,13 @@ class ProblemSpec:
                     raise ProblemError(f"transmission {name} must be positive, got {value}")
         elif self.k is None or self.k <= 0:
             raise ProblemError(f"{self.kind} needs a positive wavenumber")
+        if self.kind == "plane_wave":
+            d = np.asarray(self.direction if self.direction is not None else (), dtype=float)
+            with np.errstate(over="ignore"):
+                length = np.linalg.norm(d)  # as _unit_direction divides by it
+            if d.shape != (self.domain.dim,) or not 0.0 < length < np.inf:
+                raise ProblemError(f"plane_wave direction needs {self.domain.dim} components "
+                                   f"and a finite nonzero length, got {self.direction}")
         if self.kind == "singular_corner" and self.domain.kind != "l_shape":
             raise ProblemError("singular_corner is defined on the l_shape domain")
         if self.kind == "transmission" and self.domain.kind != "square2":

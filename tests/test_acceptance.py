@@ -321,17 +321,16 @@ write_vtk = false
 
     config = load_config_text(template.format(policy="none", iters=8))
     mesh = initial_mesh(config)
-    predictions = None
+    predictions = {}
     for _ in range(8):
         system = assemble_system(mesh, config.problem, config.penalties)
         report = solve(system)
         solution = DiscreteSolution.from_vector(
             mesh, report.coefficients, system.dof_map)
-        records = indicators(mesh, solution, config.problem, config.penalties,
-                             predictions=predictions)
+        records = indicators(mesh, solution, config.problem, config.penalties)
         marks = mark_elements(records, config.adapt.fraction)
-        plan = plan_refinement(marks, records, config.adapt)
-        mesh, predictions = decide_and_refine(mesh, plan, records, config.adapt)
+        plan = plan_refinement(marks, records, predictions, config.adapt)
+        mesh, predictions = decide_and_refine(mesh, plan, records, predictions, config.adapt)
         enforce_degree_compatibility(mesh)
     distances = [float(np.linalg.norm(el.centroid)) for el in mesh.elements.values()]
     near_fraction = sum(1 for d in distances if d <= 0.25) / len(distances)
@@ -395,26 +394,27 @@ def test_criterion_7_selection_orientation_prediction_rotation():
 
     # Refinement bookkeeping: infinite initial forecasts send the first
     # refinement to p, and the prediction formulas hold to 1e-14.
-    def fresh_records(mesh_, eta=1.0, eta_pred=math.inf):
+    def fresh_records(mesh_, eta=1.0):
         return [
             IndicatorRecord(element=eid, eta=eta, jump_u=0.0, jump_gradu=0.0,
-                            robin=0.0, dirichlet=0.0, eta_pred=eta_pred)
+                            robin=0.0, dirichlet=0.0)
             for eid in sorted(mesh_.elements)
         ]
 
     mesh_p = build_initial_mesh(domain, 2, problem.wavenumber, 3)
     records = fresh_records(mesh_p)
-    h_set, p_set = plan_refinement({0, 1}, records, AdaptConfig())
+    h_set, p_set = plan_refinement({0, 1}, records, {}, AdaptConfig())
     if h_set or p_set != {0, 1}:
         failures.append("first refinement not p")
-    plan = plan_refinement({0}, records, AdaptConfig())
-    _, predictions = decide_and_refine(mesh_p, plan, records, AdaptConfig())
+    plan = plan_refinement({0}, records, {}, AdaptConfig())
+    _, predictions = decide_and_refine(mesh_p, plan, records, {}, AdaptConfig())
     if abs(predictions[0] - math.sqrt(0.4)) > 1e-14:
         failures.append("p prediction")
     mesh_h = build_initial_mesh(domain, 2, problem.wavenumber, 4)
-    records = fresh_records(mesh_h, eta=1.0, eta_pred=0.5)
-    plan = plan_refinement({0}, records, AdaptConfig())
-    new_mesh, predictions = decide_and_refine(mesh_h, plan, records, AdaptConfig())
+    records = fresh_records(mesh_h, eta=1.0)
+    forecasts = dict.fromkeys(mesh_h.elements, 0.5)
+    plan = plan_refinement({0}, records, forecasts, AdaptConfig())
+    new_mesh, predictions = decide_and_refine(mesh_h, plan, records, forecasts, AdaptConfig())
     for child in new_mesh.last_refined[0]:
         if abs(predictions[child] - 0.0625) > 1e-14:
             failures.append("h prediction")
@@ -429,7 +429,7 @@ def test_criterion_7_selection_orientation_prediction_rotation():
     worst_orth = 0.0
     worst_map = 0.0
     for direction in raw:
-        matrix = frame_from_direction(direction).matrix
+        matrix = frame_from_direction(direction)
         worst_orth = max(worst_orth, float(np.max(np.abs(matrix.T @ matrix - np.eye(3)))))
         worst_map = max(worst_map, float(np.max(np.abs(matrix @ pole - direction))))
     if worst_orth > 1e-12 or worst_map > 1e-12:

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from tdg import basis
 from tdg.basis import (
-    DirectionFrame,
     UnsupportedDegreeError,
     WaveTable,
     canonical_directions,
@@ -18,7 +17,6 @@ from tdg.basis import (
     frame_from_direction,
     grid_sum,
     grid_waves,
-    rotated_directions,
     rotation_matrix_3d,
 )
 from tdg.mesh import DomainSpec, build_initial_mesh, refine_elements
@@ -84,7 +82,7 @@ def test_unsupported_3d_size_raises_without_fallback():
 
 def test_rotated_directions_2d():
     frame = frame_from_direction((0.0, 1.0))
-    dirs = rotated_directions(7, frame)
+    dirs = canonical_directions(7, 2) @ frame.T
     assert_allclose(dirs[0], [0.0, 1.0], atol=1e-15)
     base = canonical_directions(7, 2)
     # Rigid rotation preserves all pairwise angles.
@@ -93,7 +91,7 @@ def test_rotated_directions_2d():
 
 def test_frame_from_direction_normalizes():
     frame = frame_from_direction((3.0, 4.0))
-    dirs = rotated_directions(5, frame)
+    dirs = canonical_directions(5, 2) @ frame.T
     assert_allclose(dirs[0], [0.6, 0.8], atol=1e-15)
 
 
@@ -121,7 +119,7 @@ def test_frame_from_direction_3d_first_direction():
     d = np.array([1.0, -2.0, 0.5])
     d /= np.linalg.norm(d)
     frame = frame_from_direction(d)
-    dirs = rotated_directions(16, frame)
+    dirs = canonical_directions(16, 3) @ frame.T
     assert_allclose(dirs[0], d, atol=1e-12)
 
 
@@ -142,7 +140,7 @@ def test_element_directions_override():
 )
 def test_element_directions_follow_in_place_mesh_changes(kind, direction):
     # The table2/table3 protocols rotate frames and raise degrees in place;
-    # the per-frame direction cache must follow both and yield to overrides.
+    # the directions must follow both and yield to overrides.
     mesh = build_initial_mesh(DomainSpec(kind=kind), 2, _constant_k(10.0), 2)
     first, second = (mesh.elements[eid] for eid in mesh.element_ids()[:2])
 
@@ -150,13 +148,14 @@ def test_element_directions_follow_in_place_mesh_changes(kind, direction):
         for el in mesh.elements.values():
             expected = el.directions_override
             if expected is None:
-                expected = rotated_directions(el.n_waves, el.frame)
+                expected = canonical_directions(el.n_waves, el.dim)
+                if el.frame is not None:
+                    expected = expected @ el.frame.T
             assert np.array_equal(element_directions(el), expected)
 
-    check()  # fills the cache of the shared canonical frame
+    check()
     first.frame = frame_from_direction(direction)
     check()
-    assert element_directions(first) is element_directions(first)
     for el in mesh.elements.values():
         el.degree += 1
     check()
@@ -310,10 +309,9 @@ def test_eval_basis_rejects_bad_order():
 
 
 def test_canonical_frame_is_identity():
-    frame = DirectionFrame(2)
-    assert_allclose(
-        rotated_directions(7, frame), canonical_directions(7, 2), atol=0.0
-    )
+    element = _element()
+    assert element.frame is None
+    assert_allclose(element_directions(element), canonical_directions(7, 2), atol=0.0)
 
 
 # --- sum-factorised facet traces against pointwise evaluation ---

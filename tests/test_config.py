@@ -169,6 +169,12 @@ def test_problem_validation_is_wrapped():
         )
     with pytest.raises(ConfigError, match=r"\[problem\]"):
         load_config_text("[problem]\nimpedance_sign = 0.5\n")
+    # A plane wave needs one finite component per axis, not all zero.
+    for domain, direction in (("unit_cube", "direction = 1,1\n"), ("unit_square", ""),
+                              ("unit_square", "direction = 0,0\n")):
+        with pytest.raises(ConfigError, match=r"\[problem\] plane_wave direction"):
+            load_config_text(f"[domain]\nkind = {domain}\n[problem]\nkind = plane_wave\n"
+                             f"{direction}")
     transmission = load_config_text(
         "[domain]\nkind = square2\n[problem]\nkind = transmission\n"
         "omega = 11\nindex_below = 2\nindex_above = 1\nincidence_deg = 69\n"

@@ -190,7 +190,7 @@ def test_stagnation_stop_on_rising_estimate(monkeypatch):
     def fake_solve_on(mesh, cfg):
         return None, SimpleNamespace(condition_estimate=10.0)
 
-    def fake_measure(mesh, solution, report, cfg, predictions, it, wall_ms, cache):
+    def fake_measure(mesh, solution, report, cfg, it, wall_ms, cache):
         est = next(estimates)
         fake_records = [
             IndicatorRecord(element=eid, eta=0.1, jump_u=0.1, jump_gradu=0.0,
@@ -213,7 +213,7 @@ def test_stagnation_disabled_runs_to_budget(monkeypatch):
     def fake_solve_on(mesh, cfg):
         return None, SimpleNamespace(condition_estimate=10.0)
 
-    def fake_measure(mesh, solution, report, cfg, predictions, it, wall_ms, cache):
+    def fake_measure(mesh, solution, report, cfg, it, wall_ms, cache):
         est = next(estimates)
         fake_records = [
             IndicatorRecord(element=eid, eta=0.1, jump_u=0.1, jump_gradu=0.0,
@@ -233,7 +233,7 @@ def test_condition_limit_stops_loop(monkeypatch):
     def fake_solve_on(mesh, cfg):
         return None, SimpleNamespace(condition_estimate=1e15)
 
-    def fake_measure(mesh, solution, report, cfg, predictions, it, wall_ms, cache):
+    def fake_measure(mesh, solution, report, cfg, it, wall_ms, cache):
         return _record(it, cond=1e15), [], None
 
     monkeypatch.setattr(driver, "_solve_on", fake_solve_on)
@@ -465,6 +465,14 @@ def test_cli_invalid_config_contents(tmp_path, capsys):
     path.write_text("[domain]\nkind = moebius\n")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "unknown domain" in capsys.readouterr().err
+    # Malformed INI: a repeated key, and a key before any section header.
+    for text, message in (("[domain]\nn = 2\nn = 3\n", "already exists"),
+                          ("n = 2\n", "no section headers")):
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text,message", [

@@ -131,16 +131,6 @@ def test_custom_penalty_weights_scale_components():
         assert scaled[eid].jump_u == pytest.approx(2.0 * base[eid].jump_u, rel=1e-13)
 
 
-def test_predictions_are_attached():
-    problem = _plane_problem()
-    mesh = _mesh(problem, n=2)
-    solution = _zero_solution(mesh)
-    records = indicators(mesh, solution, problem, predictions={0: 0.125})
-    by_id = {r.element: r for r in records}
-    assert by_id[0].eta_pred == 0.125
-    assert all(math.isinf(by_id[e].eta_pred) for e in by_id if e != 0)
-
-
 def test_global_estimate_is_euclidean():
     records = [
         IndicatorRecord(element=0, eta=3.0, jump_u=3.0, jump_gradu=0.0, robin=0.0,

@@ -19,9 +19,9 @@ from tdg.hp_adapt import (
 from tdg.mesh import DomainSpec, build_initial_mesh, refine_elements
 
 
-def _record(eid, eta, eta_pred=math.inf):
+def _record(eid, eta):
     return IndicatorRecord(element=eid, eta=eta, jump_u=0.0, jump_gradu=0.0,
-                           robin=0.0, dirichlet=0.0, eta_pred=eta_pred)
+                           robin=0.0, dirichlet=0.0)
 
 
 def _constant_k(k):
@@ -70,27 +70,29 @@ def test_mark_elements_all_equal_prefers_low_ids():
 def test_plan_first_refinement_is_p():
     config = AdaptConfig()
     records = [_record(0, 1.0), _record(1, 2.0)]
-    h_set, p_set = plan_refinement({0, 1}, records, config)
+    # No forecast yet: a missing id counts as an infinite forecast.
+    h_set, p_set = plan_refinement({0, 1}, records, {}, config)
     assert h_set == set()
     assert p_set == {0, 1}
 
 
 def test_plan_prediction_test_is_strict():
     config = AdaptConfig()
-    records = [
-        _record(0, 1.0, eta_pred=0.5),   # exceeded the forecast: h
-        _record(1, 1.0, eta_pred=1.0),   # met it exactly: p
-        _record(2, 1.0, eta_pred=2.0),   # beat it: p
-    ]
-    h_set, p_set = plan_refinement({0, 1, 2}, records, config)
+    records = [_record(0, 1.0), _record(1, 1.0), _record(2, 1.0)]
+    predictions = {
+        0: 0.5,   # exceeded the forecast: h
+        1: 1.0,   # met it exactly: p
+        2: 2.0,   # beat it: p
+    }
+    h_set, p_set = plan_refinement({0, 1, 2}, records, predictions, config)
     assert h_set == {0}
     assert p_set == {1, 2}
 
 
 def test_plan_h_only_folds_p_into_h():
     config = AdaptConfig(mode="h_only")
-    records = [_record(0, 1.0), _record(1, 3.0, eta_pred=0.1)]
-    h_set, p_set = plan_refinement({0, 1}, records, config)
+    records = [_record(0, 1.0), _record(1, 3.0)]
+    h_set, p_set = plan_refinement({0, 1}, records, {1: 0.1}, config)
     assert h_set == {0, 1}
     assert p_set == set()
 
@@ -99,8 +101,8 @@ def test_decide_p_refinement_bookkeeping():
     mesh = _mesh(n=2, q0=3)
     records = [_record(eid, 1.0 if eid == 0 else 0.25) for eid in mesh.elements]
     config = AdaptConfig(fraction=0.25)
-    plan = plan_refinement({0}, records, config)
-    new_mesh, predictions = decide_and_refine(mesh, plan, records, config)
+    plan = plan_refinement({0}, records, {}, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, {}, config)
     assert len(new_mesh.elements) == 4
     assert new_mesh.elements[0].degree == 4
     assert all(new_mesh.elements[e].degree == 3 for e in (1, 2, 3))
@@ -111,13 +113,10 @@ def test_decide_p_refinement_bookkeeping():
 
 def test_decide_h_refinement_prediction_arithmetic():
     mesh = _mesh(n=2, q0=4)
-    records = [
-        _record(eid, 1.0 if eid == 0 else 0.25, eta_pred=0.5 if eid == 0 else math.inf)
-        for eid in mesh.elements
-    ]
+    records = [_record(eid, 1.0 if eid == 0 else 0.25) for eid in mesh.elements]
     config = AdaptConfig(fraction=0.25)
-    plan = plan_refinement({0}, records, config)
-    new_mesh, predictions = decide_and_refine(mesh, plan, records, config)
+    plan = plan_refinement({0}, records, {0: 0.5}, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, {0: 0.5}, config)
     children = new_mesh.last_refined[0]
     assert len(children) == 4
     for cid in children:
@@ -130,15 +129,11 @@ def test_decide_h_refinement_prediction_arithmetic():
 
 def test_decide_unmarked_prediction_decay():
     mesh = _mesh(n=2, q0=3)
-    records = [
-        _record(0, 1.0, eta_pred=0.5),
-        _record(1, 0.1, eta_pred=0.8),
-        _record(2, 0.1, eta_pred=math.inf),
-        _record(3, 0.1, eta_pred=0.2),
-    ]
+    records = [_record(0, 1.0), _record(1, 0.1), _record(2, 0.1), _record(3, 0.1)]
+    forecasts = {0: 0.5, 1: 0.8, 3: 0.2}  # 2 has none: infinite
     config = AdaptConfig(fraction=0.25, gamma_n=0.25)
-    plan = plan_refinement({0}, records, config)
-    _, predictions = decide_and_refine(mesh, plan, records, config)
+    plan = plan_refinement({0}, records, forecasts, config)
+    _, predictions = decide_and_refine(mesh, plan, records, forecasts, config)
     assert predictions[1] == pytest.approx(0.5 * 0.8, abs=1e-14)
     assert math.isinf(predictions[2])
     assert predictions[3] == pytest.approx(0.5 * 0.2, abs=1e-14)
@@ -154,14 +149,11 @@ def test_decide_closure_children_use_parent_indicator():
         eid for eid, el in mesh.elements.items()
         if el.level == 1 and np.allclose(el.lo, 0.25)
     )
-    records = [
-        _record(eid, 1.0 if eid == inner else 0.5,
-                eta_pred=0.001)
-        for eid in sorted(mesh.elements)
-    ]
+    records = [_record(eid, 1.0 if eid == inner else 0.5) for eid in sorted(mesh.elements)]
+    forecasts = dict.fromkeys(mesh.elements, 0.001)
     config = AdaptConfig(fraction=0.05)
-    plan = plan_refinement({inner}, records, config)
-    new_mesh, predictions = decide_and_refine(mesh, plan, records, config)
+    plan = plan_refinement({inner}, records, forecasts, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, forecasts, config)
     assert inner in new_mesh.last_refined
     closure_parents = [p for p in new_mesh.last_refined if p != inner]
     assert closure_parents
@@ -187,15 +179,16 @@ def test_decide_p_bump_before_closure_split():
     records = []
     for eid in sorted(mesh.elements):
         if eid == inner:
-            records.append(_record(eid, 1.0, eta_pred=0.001))  # h-refine
+            records.append(_record(eid, 1.0))  # h-refine: forecast 0.001
         elif eid in neighbours:
-            records.append(_record(eid, 0.9, eta_pred=math.inf))  # p-refine
+            records.append(_record(eid, 0.9))  # p-refine: no forecast
         else:
             records.append(_record(eid, 0.0))
+    forecasts = {inner: 0.001}
     config = AdaptConfig(fraction=0.9)
     marks = {inner, *neighbours}
-    plan = plan_refinement(marks, records, config)
-    new_mesh, predictions = decide_and_refine(mesh, plan, records, config)
+    plan = plan_refinement(marks, records, forecasts, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, forecasts, config)
     split_neighbours = [p for p in new_mesh.last_refined if p in neighbours]
     assert split_neighbours
     for parent in split_neighbours:
@@ -212,8 +205,7 @@ def test_decide_copies_the_mesh_once(monkeypatch):
 
     mesh = build_initial_mesh(DomainSpec(kind="l_shape"), 8, _constant_k(20.0), 3)
     assert len(mesh.elements) == 48
-    records = [_record(eid, 1.0, eta_pred=0.5 if eid == 0 else math.inf)
-               for eid in mesh.elements]
+    records = [_record(eid, 1.0) for eid in mesh.elements]
     built = []
     post_init = Element.__post_init__
 
@@ -222,8 +214,8 @@ def test_decide_copies_the_mesh_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Element, "__post_init__", counting)
-    plan = plan_refinement({0, 1}, records, AdaptConfig())
-    new_mesh, _ = decide_and_refine(mesh, plan, records, AdaptConfig())
+    plan = plan_refinement({0, 1}, records, {0: 0.5}, AdaptConfig())
+    new_mesh, _ = decide_and_refine(mesh, plan, records, {0: 0.5}, AdaptConfig())
     assert len(built) == 52
     assert list(new_mesh.last_refined) == [0]
     assert new_mesh.elements[1].degree == 4
@@ -232,10 +224,11 @@ def test_decide_copies_the_mesh_once(monkeypatch):
 
 def test_h_only_never_changes_degrees():
     mesh = _mesh(n=2, q0=3)
-    records = [_record(eid, float(eid + 1), eta_pred=0.01) for eid in mesh.elements]
+    records = [_record(eid, float(eid + 1)) for eid in mesh.elements]
+    forecasts = dict.fromkeys(mesh.elements, 0.01)
     config = AdaptConfig(mode="h_only", fraction=1.0)
-    plan = plan_refinement(set(mesh.elements), records, config)
-    new_mesh, _ = decide_and_refine(mesh, plan, records, config)
+    plan = plan_refinement(set(mesh.elements), records, forecasts, config)
+    new_mesh, _ = decide_and_refine(mesh, plan, records, forecasts, config)
     assert all(el.degree == 3 for el in new_mesh.elements.values())
     assert len(new_mesh.elements) == 16
 
@@ -290,14 +283,13 @@ def test_enforce_degree_compatibility_noop():
 def test_adapt_step_preserves_invariants(etas, mode):
     mesh = refine_elements(_mesh(n=2, q0=3), [0])
     ids = sorted(mesh.elements)
-    records = [
-        _record(eid, eta, eta_pred=0.5) for eid, eta in zip(ids, etas)
-    ]
+    records = [_record(eid, eta) for eid, eta in zip(ids, etas)]
+    forecasts = dict.fromkeys(ids, 0.5)
     config = AdaptConfig(mode=mode, fraction=0.25)
     marks = mark_elements(records, config.fraction)
     assert len(marks) == 2
-    plan = plan_refinement(marks, records, config)
-    new_mesh, predictions = decide_and_refine(mesh, plan, records, config)
+    plan = plan_refinement(marks, records, forecasts, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, forecasts, config)
     enforce_degree_compatibility(new_mesh)
     assert set(predictions) == set(new_mesh.elements)
     assert all(v >= 0.0 for v in predictions.values())

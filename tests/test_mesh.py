@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from tdg.basis import canonical_directions, element_directions, frame_from_direction
 from tdg.mesh import (
     DIRICHLET,
     ROBIN,
@@ -167,6 +168,24 @@ def test_refine_returns_new_mesh():
         assert c.level == 1
         assert c.degree == mesh.elements[0].degree
         assert c.k == mesh.elements[0].k
+
+
+@pytest.mark.parametrize(
+    "kind, direction", [("unit_square", (0.6, 0.8)), ("unit_cube", (0.48, 0.6, 0.64))]
+)
+def test_refined_children_inherit_the_frame(kind, direction):
+    # The marked-all policy rotates a fan before the element splits, so its
+    # children must keep the rotation, at the raised degree.
+    mesh = _mesh(kind=kind, n=2, q0=2)
+    frame = frame_from_direction(direction)
+    mesh.elements[0].frame = frame
+    refined = refine_elements(mesh, [0], raise_degree=[0])
+    for cid in refined.last_refined[0]:
+        child = refined.elements[cid]
+        assert child.frame is frame and child.degree == 3
+        expected = canonical_directions(child.n_waves, child.dim) @ frame.T
+        assert np.array_equal(element_directions(child), expected)
+    assert refined.elements[1].frame is None  # a face neighbour, not split
 
 
 def test_refine_unknown_id_raises():

@@ -300,6 +300,14 @@ def test_validation_errors():
     with pytest.raises(ProblemError):
         ProblemSpec(kind="hankel_source", domain=_domain(), k=20.0,
                     impedance_sign=0.5)
+    for direction in (None, (1.0,), (1.0, 1.0, 1.0), (0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0),
+                      (1e200, 1e200)):
+        with pytest.raises(ProblemError, match="plane_wave direction"):
+            ProblemSpec(kind="plane_wave", domain=_domain(), k=20.0, direction=direction)
+    with pytest.raises(ProblemError, match="plane_wave direction"):
+        ProblemSpec(kind="plane_wave", domain=_domain("unit_cube"), k=20.0, direction=(1.0, 1.0))
+    # Other kinds ignore the direction.
+    ProblemSpec(kind="hankel_source", domain=_domain(), k=20.0, direction=(1.0, 1.0, 1.0))
     # Non-positive media parameters divide by zero in the skeleton or make the system singular.
     for bad in ({"omega": -11.0}, {"omega": 0.0}, {"index_below": -2.0}, {"index_above": 0.0}):
         with pytest.raises(ProblemError, match="must be positive"):
