@@ -76,6 +76,10 @@ class GlobalSystem:
         data = np.concatenate([self.blocks[key].ravel() for key in keys])
         return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
 
+    def split(self, x):
+        """{element id: x's slice of that element's dofs}, in dof_map order; views of x."""
+        return {eid: x[start:stop] for eid, (start, stop) in self.dof_map.items()}
+
 
 def _add_blocks(blocks, test_ids, trial_ids, mats):
     """Add mats[f] (F, p_t, p_r) to blocks[(test_ids[f], trial_ids[f])].

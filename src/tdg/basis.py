@@ -34,7 +34,7 @@ grid_sum contracts the factors as ((c * F_0) * F_1 ...) @ F_last^T, the
 same bits for a grid alone or stacked with others; F_0 @ (c * F_1^T)
 would round differently.  Values from two or more factors differ from
 eval_basis(...) @ c in the last bits.  Both skeleton passes and
-DiscreteSolution.on_grid evaluate grids with these two functions only.
+problems.l2_errors evaluate grids with these two functions only.
 """
 
 from functools import lru_cache

@@ -34,6 +34,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    from .basis import UnsupportedDegreeError
     from .config import ConfigError, load_config, load_preset, override
     from .mesh import MeshError
     from .problems import ProblemError
@@ -66,6 +67,9 @@ def main(argv=None):
         return 2
     except SingularSystemError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except UnsupportedDegreeError as exc:
+        print(f"unsupported degree: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

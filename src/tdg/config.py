@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -231,6 +232,14 @@ def _build(raw):
     passes = _get(raw, "adaptivity", "passes", int, "an integer")
     if passes < 0:
         raise ConfigError(f"[adaptivity] passes: must be >= 0, got {passes}")
+    calibration_q = _get(raw, "adaptivity", "calibration_q", _int_list, "a list of integers")
+    if not calibration_q or min(calibration_q) < 1:
+        raise ConfigError(f"[adaptivity] calibration_q: need one or more degrees >= 1, "
+                          f"got {raw['adaptivity']['calibration_q']!r}")
+    calibration_k = _get(raw, "adaptivity", "calibration_k", _float_list, "a list of numbers")
+    if not calibration_k or not all(0 < k < math.inf for k in calibration_k):
+        raise ConfigError(f"[adaptivity] calibration_k: need one or more finite wavenumbers "
+                          f"> 0, got {raw['adaptivity']['calibration_k']!r}")
 
     return ExperimentConfig(
         raw=raw,
@@ -245,8 +254,8 @@ def _build(raw):
         q_min=q_min,
         q_max=q_max,
         passes=passes,
-        calibration_q=_get(raw, "adaptivity", "calibration_q", _int_list, "a list of integers"),
-        calibration_k=_get(raw, "adaptivity", "calibration_k", _float_list, "a list of numbers"),
+        calibration_q=calibration_q,
+        calibration_k=calibration_k,
         write_vtk=_get_bool(raw, "output", "write_vtk"),
     )
 

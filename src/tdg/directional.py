@@ -84,16 +84,15 @@ def potential_direction(lam, vecs_re, mu, vecs_im, gap=GAP_FACTOR):
     return None if norm < SUM_EPS else combined / norm
 
 
-def centroid_hessians(solution, element):
-    """Hessians of (Re u, Im u) at the centroid: two real symmetric matrices."""
-    coeff = solution.coefficients[element.id]
+def centroid_hessians(coeff, element):
+    """Hessians of (Re u, Im u) at the centroid from the element's coefficients coeff."""
     dirs = element_directions(element)
     outer = np.einsum("pd,pe->pde", dirs, dirs)
     hess = -(element.k**2) * np.einsum("p,pde->de", coeff, outer)
     return hess.real, hess.imag
 
 
-def orient_direction(solution, element, axis):
+def orient_direction(coeff, element, axis):
     """Give the undirected axis a forward orientation.
 
     For a local wave ``A exp(i k d . (x - x_K))`` the amplitude-normalised
@@ -104,7 +103,6 @@ def orient_direction(solution, element, axis):
     normalisation the forward value is ``2 Re A``, so any field with local
     amplitude below one half would always be flipped.)
     """
-    coeff = solution.coefficients[element.id]
     ik = 1j * element.k
     denom = ik * coeff.sum()
     if denom == 0.0:
@@ -116,19 +114,19 @@ def orient_direction(solution, element, axis):
     return axis
 
 
-def element_direction(solution, element):
+def element_direction(coeff, element):
     """Dominant oriented propagation direction for one element, or None."""
-    h_re, h_im = centroid_hessians(solution, element)
+    h_re, h_im = centroid_hessians(coeff, element)
     axis = potential_direction(*symmetric_eigenpairs(h_re), *symmetric_eigenpairs(h_im))
     if axis is None:
         return None
-    return orient_direction(solution, element, axis)
+    return orient_direction(coeff, element, axis)
 
 
 POLICIES = ("none", "marked-p", "marked-all", "all")
 
 
-def apply_directional_adaptivity(mesh, solution, policy, h_marked=(), p_marked=()):
+def apply_directional_adaptivity(mesh, coefficients, policy, h_marked=(), p_marked=()):
     """Re-orient the plane-wave fans of selected elements in place.
 
     ``policy`` chooses the target set: ``none``, ``marked-p`` (elements about
@@ -150,7 +148,7 @@ def apply_directional_adaptivity(mesh, solution, policy, h_marked=(), p_marked=(
     updated = {}
     for eid in selected:
         element = mesh.elements[eid]
-        direction = element_direction(solution, element)
+        direction = element_direction(coefficients[eid], element)
         if direction is None:
             continue
         frame = frame_from_direction(direction)

@@ -14,6 +14,7 @@ import numpy
 import scipy
 
 from .assembly import assemble_system
+from .basis import UnsupportedDegreeError
 from .config import override
 from .directional import apply_directional_adaptivity
 from .estimator import effectivities, global_estimate, indicators
@@ -25,7 +26,6 @@ from .hp_adapt import (
 )
 from .mesh import build_initial_mesh
 from .problems import l2_errors
-from .solution import DiscreteSolution
 from .solve import SingularSystemError, solve
 from .vtkio import write_vtk
 
@@ -59,8 +59,7 @@ def initial_mesh(config):
 def _solve_on(mesh, config):
     system = assemble_system(mesh, config.problem, config.penalties)
     report = solve(system)
-    solution = DiscreteSolution.from_vector(mesh, report.coefficients, system.dof_map)
-    return solution, report
+    return system.split(report.coefficients), report
 
 
 def _dofs(mesh):
@@ -79,10 +78,10 @@ def _exact_cache(problem):
     return {} if problem.kind in ("hankel_source", "singular_corner") else None
 
 
-def _measure(mesh, solution, report, config, it, wall_ms, cache):
+def _measure(mesh, coefficients, report, config, it, wall_ms, cache):
     """Iteration record, indicator records and the (abs, norm) exact L2 errors."""
-    records = indicators(mesh, solution, config.problem, config.penalties)
-    abs_err, exact_norm = l2_errors(solution, config.problem, cache)
+    records = indicators(mesh, coefficients, config.problem, config.penalties)
+    abs_err, exact_norm = l2_errors(mesh, coefficients, config.problem, cache)
     estimate = global_estimate(records)
     eff = effectivities(records, abs_err)
     record = IterationRecord(
@@ -104,20 +103,20 @@ def _measure(mesh, solution, report, config, it, wall_ms, cache):
 def _step(mesh, config, it, history, out_dir, cache):
     """Solve, measure and record one configuration (plus its VTK snapshot).
 
-    Returns the solution, the indicator records and the exact L2 errors.
+    Returns the coefficients, the indicator records and the exact L2 errors.
     """
     t0 = time.perf_counter()
-    solution, report = _solve_on(mesh, config)
+    coefficients, report = _solve_on(mesh, config)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     record, indicator_records, errors = _measure(
-        mesh, solution, report, config, it, wall_ms, cache
+        mesh, coefficients, report, config, it, wall_ms, cache
     )
     history.append(record)
     if out_dir is not None and config.write_vtk:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         eta = {r.element: r.eta for r in indicator_records}
         write_vtk(Path(out_dir) / f"mesh_iter{it:03d}.vtk", mesh, eta)
-    return solution, indicator_records, errors
+    return coefficients, indicator_records, errors
 
 
 def run_adapt_loop(config, out_dir=None, history=None):
@@ -135,7 +134,7 @@ def run_adapt_loop(config, out_dir=None, history=None):
     previous_estimate = None
     rises = 0
     for it in range(config.adapt.max_iters + 1):
-        solution, indicator_records, _ = _step(mesh, config, it, history, out_dir, cache)
+        coefficients, indicator_records, _ = _step(mesh, config, it, history, out_dir, cache)
         record = history[-1]
         if it == config.adapt.max_iters:
             break
@@ -152,7 +151,7 @@ def run_adapt_loop(config, out_dir=None, history=None):
         marks = mark_elements(indicator_records, config.adapt.fraction)
         plan = plan_refinement(marks, indicator_records, predictions, config.adapt)
         apply_directional_adaptivity(
-            mesh, solution, config.adapt.policy, h_marked=plan[0], p_marked=plan[1]
+            mesh, coefficients, config.adapt.policy, h_marked=plan[0], p_marked=plan[1]
         )
         mesh, predictions = decide_and_refine(
             mesh, plan, indicator_records, predictions, config.adapt
@@ -179,16 +178,16 @@ def run_table2_protocol(config, out_dir=None, history=None, rows=None):
     history = [] if history is None else history
     std_mesh = initial_mesh(config)
     ada_mesh = initial_mesh(config)
-    ada_solution = None
+    ada_coefficients = None
     cache = _exact_cache(config.problem)  # both legs have the same rules
     for step, q in enumerate(range(config.q_min, config.q_max + 1)):
         _set_uniform_degree(std_mesh, q)
-        std_solution, _ = _solve_on(std_mesh, config)
-        std_abs, exact_norm = l2_errors(std_solution, config.problem, cache)
-        if ada_solution is not None:
-            apply_directional_adaptivity(ada_mesh, ada_solution, "all")
+        std_coefficients, _ = _solve_on(std_mesh, config)
+        std_abs, exact_norm = l2_errors(std_mesh, std_coefficients, config.problem, cache)
+        if ada_coefficients is not None:
+            apply_directional_adaptivity(ada_mesh, ada_coefficients, "all")
         _set_uniform_degree(ada_mesh, q)
-        ada_solution, _, (ada_abs, _) = _step(
+        ada_coefficients, _, (ada_abs, _) = _step(
             ada_mesh, config, step, history, out_dir, cache
         )
         rows.append({
@@ -220,8 +219,8 @@ def run_table3_protocol(config, out_dir=None, history=None, rows=None):
         errors_scaled = []
         for pass_idx in range(config.passes + 1):
             if pass_idx > 0:
-                apply_directional_adaptivity(mesh, solution, "all")
-            solution, _, (abs_err, exact_norm) = _step(
+                apply_directional_adaptivity(mesh, coefficients, "all")
+            coefficients, _, (abs_err, exact_norm) = _step(
                 mesh, config, counter, history, out_dir, cache
             )
             errors_rel.append(abs_err / exact_norm)
@@ -325,9 +324,10 @@ def _tables(protocol, rows):
 def run_experiment(config, out_dir=None):
     """Run the configured protocol, writing artifacts when out_dir is given.
 
-    On a singular system the records and table rows collected so far are
-    still flushed to run.json, and the records attached to the error as
-    `partial_records`, before it propagates.
+    On a singular system, or a degree with no direction set, the records
+    and table rows collected so far are still flushed to run.json, and the
+    records attached to the error as `partial_records`, before it
+    propagates.
     """
     t0 = time.perf_counter()
     records = []
@@ -343,7 +343,7 @@ def run_experiment(config, out_dir=None):
             run_calibration(config, out_dir, records, rows)
         else:
             raise ValueError(f"unknown protocol {config.protocol!r}")
-    except SingularSystemError as exc:
+    except (SingularSystemError, UnsupportedDegreeError) as exc:
         exc.partial_records = records
         if out_dir is not None:
             write_outputs(records, out_dir, config, _tables(config.protocol, rows))

@@ -64,10 +64,10 @@ def _traces(waves, ids, p, batch):
     return grid_sum(factors, coeffs), grid_sum(factors, dn * coeffs), k
 
 
-def indicators(mesh, solution, problem, params=PenaltyParams()):
+def indicators(mesh, coefficients, problem, params=PenaltyParams()):
     """Indicator records for every element, ordered by element id."""
     ids = np.array(mesh.element_ids())
-    waves = WaveTable(mesh.elements, solution.coefficients)
+    waves = WaveTable(mesh.elements, coefficients)
     # Raw squared facet integrals per element: jump_u, jump_gradu, robin, dirichlet.
     raw = np.zeros((len(ids), 4))
     for batch in skeleton_batches(mesh):

@@ -31,10 +31,11 @@ points and are evaluated pointwise, bit for bit.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, radians, sin
+from math import cos, inf, radians, sin
 
 import numpy as np
 
+from .basis import element_directions, grid_sum, grid_waves
 from .quadrature import cis, grid_points, outer_rows, volume_rule
 from .special import bessel_j, hankel1
 
@@ -77,15 +78,18 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ProblemError(f"unknown problem kind {self.kind!r}")
+        # Written as 0 < x < inf, so that nan fails too.
         if self.kind == "transmission":
             for name in ("omega", "index_below", "index_above", "incidence_deg"):
                 value = getattr(self, name)
                 if value is None:
                     raise ProblemError(f"transmission problem needs {name}")
-                if value <= 0 and name != "incidence_deg":
-                    raise ProblemError(f"transmission {name} must be positive, got {value}")
-        elif self.k is None or self.k <= 0:
-            raise ProblemError(f"{self.kind} needs a positive wavenumber")
+                low, what = ((-inf, "finite") if name == "incidence_deg"
+                             else (0, "positive and finite"))
+                if not low < value < inf:
+                    raise ProblemError(f"transmission {name} must be {what}, got {value}")
+        elif self.k is None or not 0 < self.k < inf:
+            raise ProblemError(f"{self.kind} needs a positive finite wavenumber, got {self.k}")
         if self.kind == "plane_wave":
             d = np.asarray(self.direction if self.direction is not None else (), dtype=float)
             with np.errstate(over="ignore"):
@@ -254,13 +258,14 @@ class ProblemSpec:
         return [cis(self.k * d_a * nodes) for d_a, nodes in zip(self._unit_direction, axes)]
 
 
-def l2_errors(solution, problem, cache=None):
+def l2_errors(mesh, coefficients, problem, cache=None):
     """(||u - u_hp||_L2, ||u||_L2) over the mesh, by per-element quadrature.
 
-    u_hp and u are both evaluated on each element's tensor Gauss grid from
-    the volume rule's axes: DiscreteSolution.on_grid and
-    ProblemSpec.exact_on_grid.  The rule's points are never built.
-    Elements are summed in id order.
+    `coefficients` maps each element id to its coefficient vector, as
+    `GlobalSystem.split` gives them.  u_hp (one-grid `basis.grid_waves` and
+    `grid_sum` calls) and u (ProblemSpec.exact_on_grid) are both evaluated
+    on each element's tensor Gauss grid from the volume rule's axes; the
+    rule's points are never built.  Elements are summed in id order.
 
     `cache` maps (level, cell, points per axis, k) to u on that element's
     rule, which depends on neither the frame nor the coefficients, so only
@@ -271,8 +276,8 @@ def l2_errors(solution, problem, cache=None):
     keys = set()
     err_sq = 0.0
     norm_sq = 0.0
-    for eid in solution.mesh.element_ids():
-        el = solution.mesh.elements[eid]
+    for eid in mesh.element_ids():
+        el = mesh.elements[eid]
         rule = volume_rule(el)
         key = (el.level, el.cell, rule.axes[0].shape[1], el.k)
         keys.add(key)
@@ -281,7 +286,8 @@ def l2_errors(solution, problem, cache=None):
             u_ex = problem.exact_on_grid(rule.axes)[0]
             if cache is not None:
                 cache[key] = u_ex
-        u_h = solution.on_grid(el, rule.axes)
+        factors = grid_waves(el.k * element_directions(el)[None], el.centroid[None], rule.axes)
+        u_h = grid_sum(factors, coefficients[eid][None])[0]
         err_sq += float(rule.weights @ np.abs(u_ex - u_h) ** 2)
         norm_sq += float(rule.weights @ np.abs(u_ex) ** 2)
     if cache is not None:

@@ -31,7 +31,6 @@ from tdg.hp_adapt import (
 from tdg.mesh import DomainSpec, build_initial_mesh
 from tdg.problems import ProblemSpec, l2_errors
 from tdg.quadrature import facet_rule
-from tdg.solution import DiscreteSolution
 from tdg.solve import solve
 from tdg.special import bessel_j, hankel1
 
@@ -139,8 +138,7 @@ def _aligned_recovery_error(domain_kind, n, q0, k, direction_index):
     mesh = build_initial_mesh(domain, n, problem.wavenumber, q0)
     system = assemble_system(mesh, problem)
     report = solve(system)
-    solution = DiscreteSolution.from_vector(mesh, report.coefficients, system.dof_map)
-    abs_err, norm = l2_errors(solution, problem)
+    abs_err, norm = l2_errors(mesh, system.split(report.coefficients), problem)
     return abs_err / norm
 
 
@@ -165,8 +163,7 @@ def _refraction_recovery_error():
             ])
     system = assemble_system(mesh, problem)
     report = solve(system)
-    solution = DiscreteSolution.from_vector(mesh, report.coefficients, system.dof_map)
-    abs_err, norm = l2_errors(solution, problem)
+    abs_err, norm = l2_errors(mesh, system.split(report.coefficients), problem)
     return abs_err / norm
 
 
@@ -325,9 +322,8 @@ write_vtk = false
     for _ in range(8):
         system = assemble_system(mesh, config.problem, config.penalties)
         report = solve(system)
-        solution = DiscreteSolution.from_vector(
-            mesh, report.coefficients, system.dof_map)
-        records = indicators(mesh, solution, config.problem, config.penalties)
+        coefficients = system.split(report.coefficients)
+        records = indicators(mesh, coefficients, config.problem, config.penalties)
         marks = mark_elements(records, config.adapt.fraction)
         plan = plan_refinement(marks, records, predictions, config.adapt)
         mesh, predictions = decide_and_refine(mesh, plan, records, predictions, config.adapt)
@@ -384,9 +380,8 @@ def test_criterion_7_selection_orientation_prediction_rotation():
     for amplitude in (1.0, 3.0, 0.2):
         coeffs = np.zeros(7, dtype=complex)
         coeffs[0] = amplitude
-        solution = DiscreteSolution(mesh=mesh, coefficients={0: coeffs})
-        kept = orient_direction(solution, element, axis)
-        flipped = orient_direction(solution, element, -axis)
+        kept = orient_direction(coeffs, element, axis)
+        flipped = orient_direction(coeffs, element, -axis)
         if not np.allclose(kept, axis, atol=1e-12):
             failures.append(f"orientation keep amplitude {amplitude}")
         if not np.allclose(flipped, axis, atol=1e-12):

@@ -10,7 +10,6 @@ from tdg.basis import eval_basis, frame_from_direction
 from tdg.mesh import DIRICHLET, ROBIN, DomainSpec, build_initial_mesh, refine_elements
 from tdg.problems import ProblemSpec, l2_errors
 from tdg.quadrature import facet_rule
-from tdg.solution import DiscreteSolution
 from tdg.solve import solve
 
 
@@ -26,12 +25,11 @@ def _mesh_for(problem, n, q0):
 def _solve_problem(mesh, problem, params=None):
     system = assemble_system(mesh, problem, params or PenaltyParams())
     report = solve(system)
-    solution = DiscreteSolution.from_vector(mesh, report.coefficients, system.dof_map)
-    return solution, report, system
+    return system.split(report.coefficients), report, system
 
 
-def _relative_error(solution, problem):
-    abs_err, norm = l2_errors(solution, problem)
+def _relative_error(mesh, coefficients, problem):
+    abs_err, norm = l2_errors(mesh, coefficients, problem)
     return abs_err / norm
 
 
@@ -46,8 +44,8 @@ def test_recovery_2d_aligned_plane_wave(n):
     # exact solution lies in the discrete space.
     problem = _plane_problem("unit_square", (1.0, 0.0))
     mesh = _mesh_for(problem, n, 3)
-    solution, report, _ = _solve_problem(mesh, problem)
-    assert _relative_error(solution, problem) <= 1e-10
+    coefficients, report, _ = _solve_problem(mesh, problem)
+    assert _relative_error(mesh, coefficients, problem) <= 1e-10
     assert report.residual <= 1e-10
 
 
@@ -55,15 +53,15 @@ def test_recovery_2d_aligned_plane_wave(n):
 def test_recovery_3d_aligned_plane_wave(n):
     problem = _plane_problem("unit_cube", (0.0, 0.0, 1.0))
     mesh = _mesh_for(problem, n, 2)
-    solution, _, _ = _solve_problem(mesh, problem)
-    assert _relative_error(solution, problem) <= 1e-10
+    coefficients, _, _ = _solve_problem(mesh, problem)
+    assert _relative_error(mesh, coefficients, problem) <= 1e-10
 
 
 def test_recovery_with_dirichlet_boundary():
     problem = _plane_problem("unit_square", (1.0, 0.0), boundary={"all": DIRICHLET})
     mesh = _mesh_for(problem, 2, 3)
-    solution, _, _ = _solve_problem(mesh, problem)
-    assert _relative_error(solution, problem) <= 1e-10
+    coefficients, _, _ = _solve_problem(mesh, problem)
+    assert _relative_error(mesh, coefficients, problem) <= 1e-10
 
 
 def test_recovery_with_mixed_boundary():
@@ -71,8 +69,8 @@ def test_recovery_with_mixed_boundary():
         "unit_square", (1.0, 0.0), boundary={"all": ROBIN, "xmin": DIRICHLET}
     )
     mesh = _mesh_for(problem, 2, 3)
-    solution, _, _ = _solve_problem(mesh, problem)
-    assert _relative_error(solution, problem) <= 1e-10
+    coefficients, _, _ = _solve_problem(mesh, problem)
+    assert _relative_error(mesh, coefficients, problem) <= 1e-10
 
 
 def test_recovery_on_nonconforming_mesh():
@@ -81,8 +79,8 @@ def test_recovery_on_nonconforming_mesh():
     problem = _plane_problem("unit_square", (1.0, 0.0))
     mesh = _mesh_for(problem, 2, 3)
     mesh = refine_elements(mesh, [0, 3])
-    solution, _, _ = _solve_problem(mesh, problem)
-    assert _relative_error(solution, problem) <= 1e-9
+    coefficients, _, _ = _solve_problem(mesh, problem)
+    assert _relative_error(mesh, coefficients, problem) <= 1e-9
 
 
 def test_recovery_rotated_frame_direction():
@@ -94,13 +92,13 @@ def test_recovery_rotated_frame_direction():
     problem = _plane_problem("unit_square", tuple(direction))
     mesh = _mesh_for(problem, 2, 3)
     canonical, _, _ = _solve_problem(mesh, problem)
-    misaligned = _relative_error(canonical, problem)
+    misaligned = _relative_error(mesh, canonical, problem)
     assert misaligned > 1e-6
 
     for el in mesh.elements.values():
         el.frame = frame_from_direction(direction)
-    solution, _, _ = _solve_problem(mesh, problem)
-    assert _relative_error(solution, problem) <= 1e-10
+    coefficients, _, _ = _solve_problem(mesh, problem)
+    assert _relative_error(mesh, coefficients, problem) <= 1e-10
 
 
 def test_system_layout_4x4():
@@ -116,6 +114,19 @@ def test_system_layout_4x4():
     assert spans[-1][1] == 112
     for (start, end), (nstart, _) in zip(spans, spans[1:]):
         assert end == nstart
+
+
+def test_split_slices_every_dof_once_in_element_order():
+    problem = _plane_problem("unit_square", (1.0, 0.0))
+    mesh = refine_elements(_mesh_for(problem, 2, 2), [0], raise_degree=[3])
+    system = assemble_system(mesh, problem)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
+    parts = system.split(x)
+    assert list(parts) == mesh.element_ids()
+    assert [len(parts[eid]) for eid in parts] == [
+        mesh.elements[eid].n_waves for eid in parts]
+    assert np.array_equal(np.concatenate(list(parts.values())), x)
 
 
 def test_blocks_follow_mesh_adjacency():

@@ -21,7 +21,6 @@ from tdg.basis import (
 )
 from tdg.mesh import DomainSpec, build_initial_mesh, refine_elements
 from tdg.quadrature import facet_rule, grid_points, skeleton_batches, volume_rule
-from tdg.solution import DiscreteSolution
 
 
 def _constant_k(k):
@@ -253,15 +252,15 @@ def test_stacked_volume_grids_equal_one_grid_calls(kind):
     elements[1].directions_override = override / np.linalg.norm(override, axis=1, keepdims=True)
     coefficients = {el.id: rng.normal(size=el.n_waves) + 1j * rng.normal(size=el.n_waves)
                     for el in elements}
-    solution = DiscreteSolution(mesh, coefficients)
     rules = [volume_rule(el) for el in elements]
     axes = [np.concatenate([rule.axes[ax] for rule in rules]) for ax in range(mesh.dim)]
     kd = np.stack([el.k * element_directions(el) for el in elements])
     centroids = np.stack([el.centroid for el in elements])
     coeffs = np.stack([coefficients[el.id] for el in elements])
     stacked = grid_sum(grid_waves(kd, centroids, axes), coeffs)
-    for values, el, rule in zip(stacked, elements, rules):
-        assert np.array_equal(values, solution.on_grid(el, rule.axes))
+    for values, el, rule, one_kd, coeff in zip(stacked, elements, rules, kd, coeffs):
+        factors = grid_waves(one_kd[None], el.centroid[None], rule.axes)
+        assert np.array_equal(values, grid_sum(factors, coeff[None])[0])
 
 
 def test_eval_basis_gradient_matches_finite_differences():

@@ -139,6 +139,13 @@ def test_range_validation():
         load_config_text("[adaptivity]\npasses = -2\n")
     with pytest.raises(ConfigError, match=r"\[adaptivity\]"):
         load_config_text("[adaptivity]\nfraction = 0\n")
+    # Each calibration cell runs one problem: no cell, or a bad one, is an error here.
+    for key, text in (("calibration_q", ""), ("calibration_q", "3, 0"),
+                      ("calibration_q", "-1"), ("calibration_k", ""),
+                      ("calibration_k", "20, -1"), ("calibration_k", "0"),
+                      ("calibration_k", "inf"), ("calibration_k", "20, nan")):
+        with pytest.raises(ConfigError, match=rf"\[adaptivity\] {key}: need one or more"):
+            load_config_text(f"[adaptivity]\n{key} = {text}\n")
 
 
 def test_enumerated_choices():
@@ -183,6 +190,15 @@ def test_problem_validation_is_wrapped():
                       ("index_above", "0")):
         with pytest.raises(ConfigError, match=rf"\[problem\] transmission {key} must be positive"):
             override(transmission, {"problem": {key: text}})
+    for key, text in (("omega", "inf"), ("index_below", "nan"), ("index_above", "inf")):
+        with pytest.raises(ConfigError,
+                           match=rf"\[problem\] transmission {key} must be positive and finite"):
+            override(transmission, {"problem": {key: text}})
+    with pytest.raises(ConfigError, match=r"\[problem\] transmission incidence_deg must be finite"):
+        override(transmission, {"problem": {"incidence_deg": "nan"}})
+    for text in ("inf", "nan", "-inf"):
+        with pytest.raises(ConfigError, match=r"\[problem\] hankel_source needs a positive finite"):
+            load_config_text(f"[problem]\nk = {text}\n")
 
 
 def test_transmission_config_builds():

@@ -18,7 +18,6 @@ from tdg.directional import (
     symmetric_eigenpairs,
 )
 from tdg.mesh import DomainSpec, build_initial_mesh
-from tdg.solution import DiscreteSolution
 
 K = 20.0
 
@@ -32,14 +31,14 @@ def _mesh(n=2, q0=3, kind="unit_square"):
     return build_initial_mesh(DomainSpec(kind=kind), n, _constant_k(K), q0)
 
 
-def _single_wave_solution(mesh, index=1, amplitude=1.0 + 0.0j):
+def _single_wave(mesh, index=1, amplitude=1.0 + 0.0j):
     """Every element carries `amplitude` times canonical fan direction `index`."""
     coeffs = {}
     for eid, el in mesh.elements.items():
         c = np.zeros(el.n_waves, dtype=complex)
         c[index] = amplitude
         coeffs[eid] = c
-    return DiscreteSolution(mesh=mesh, coefficients=coeffs)
+    return coeffs
 
 
 # Eigensolvers ---------------------------------------------------------------
@@ -146,9 +145,9 @@ def test_potential_direction_custom_gap():
 def test_hessian_eigenpairs_single_wave():
     mesh = _mesh(n=1, q0=3)
     (element,) = mesh.elements.values()
-    solution = _single_wave_solution(mesh, index=1, amplitude=1.0)
+    coeffs = _single_wave(mesh, index=1, amplitude=1.0)
     d = canonical_directions(7, 2)[1]
-    h_re, h_im = centroid_hessians(solution, element)
+    h_re, h_im = centroid_hessians(coeffs[element.id], element)
     lam, vecs_re = symmetric_eigenpairs(h_re)
     mu, vecs_im = symmetric_eigenpairs(h_im)
     # H(u) = -k^2 d d^T for a unit-amplitude wave with zero phase at the
@@ -163,9 +162,9 @@ def test_hessian_eigenpairs_complex_amplitude():
     mesh = _mesh(n=1, q0=3)
     (element,) = mesh.elements.values()
     amplitude = 2.0 * np.exp(1j * np.pi / 3.0)
-    solution = _single_wave_solution(mesh, index=2, amplitude=amplitude)
+    coeffs = _single_wave(mesh, index=2, amplitude=amplitude)
     d = canonical_directions(7, 2)[2]
-    h_re, h_im = centroid_hessians(solution, element)
+    h_re, h_im = centroid_hessians(coeffs[element.id], element)
     lam, vecs_re = symmetric_eigenpairs(h_re)
     mu, vecs_im = symmetric_eigenpairs(h_im)
     assert lam[0] == pytest.approx(-K**2 * amplitude.real, rel=1e-12)
@@ -180,10 +179,10 @@ def test_hessian_eigenpairs_complex_amplitude():
 def test_orientation_keeps_forward_axis(amplitude):
     mesh = _mesh(n=1, q0=3)
     (element,) = mesh.elements.values()
-    solution = _single_wave_solution(mesh, index=1, amplitude=amplitude)
+    coeffs = _single_wave(mesh, index=1, amplitude=amplitude)
     d = canonical_directions(7, 2)[1]
-    assert_allclose(orient_direction(solution, element, d), d)
-    assert_allclose(orient_direction(solution, element, -d), d)
+    assert_allclose(orient_direction(coeffs[element.id], element, d), d)
+    assert_allclose(orient_direction(coeffs[element.id], element, -d), d)
 
 
 @pytest.mark.parametrize("a,b,expected_sign", [
@@ -201,26 +200,24 @@ def test_orientation_follows_the_larger_of_two_opposite_waves(a, b, expected_sig
     d = np.array([0.6, 0.8])
     element.directions_override = np.stack([d, -d])
     coeffs = {element.id: np.array([a, b], dtype=complex)}
-    solution = DiscreteSolution(mesh=mesh, coefficients=coeffs)
-    assert_allclose(orient_direction(solution, element, d), expected_sign * d)
-    assert_allclose(orient_direction(solution, element, -d), expected_sign * d)
+    assert_allclose(orient_direction(coeffs[element.id], element, d), expected_sign * d)
+    assert_allclose(orient_direction(coeffs[element.id], element, -d), expected_sign * d)
 
 
 def test_orientation_zero_field_keeps_axis():
     mesh = _mesh(n=1, q0=3)
     (element,) = mesh.elements.values()
     coeffs = {element.id: np.zeros(7, dtype=complex)}
-    solution = DiscreteSolution(mesh=mesh, coefficients=coeffs)
     axis = np.array([0.0, 1.0])
-    assert_allclose(orient_direction(solution, element, axis), axis)
+    assert_allclose(orient_direction(coeffs[element.id], element, axis), axis)
 
 
 def test_element_direction_end_to_end():
     mesh = _mesh(n=1, q0=3)
     (element,) = mesh.elements.values()
-    solution = _single_wave_solution(mesh, index=1, amplitude=1.5)
+    coeffs = _single_wave(mesh, index=1, amplitude=1.5)
     d = canonical_directions(7, 2)[1]
-    assert_allclose(element_direction(solution, element), d, atol=1e-9)
+    assert_allclose(element_direction(coeffs[element.id], element), d, atol=1e-9)
 
 
 def test_element_direction_none_for_isotropic_field():
@@ -228,8 +225,7 @@ def test_element_direction_none_for_isotropic_field():
     (element,) = mesh.elements.values()
     # Superpose many fan waves with equal weight: no dominant curvature axis.
     coeffs = {element.id: np.full(7, 1.0 + 0.0j)}
-    solution = DiscreteSolution(mesh=mesh, coefficients=coeffs)
-    assert element_direction(solution, element) is None
+    assert element_direction(coeffs[element.id], element) is None
 
 
 # Policy plumbing ------------------------------------------------------------
@@ -237,17 +233,17 @@ def test_element_direction_none_for_isotropic_field():
 def test_policy_names_and_aliases():
     assert POLICIES == ("none", "marked-p", "marked-all", "all")
     mesh = _mesh(n=2, q0=3)
-    solution = _single_wave_solution(mesh, index=1)
+    coeffs = _single_wave(mesh, index=1)
     for name in ("marked_p", "marked-p-only", "ALL", "all-elements", "everything"):
         with pytest.raises(ValueError, match="unknown directional policy"):
-            apply_directional_adaptivity(mesh, solution, name)
+            apply_directional_adaptivity(mesh, coeffs, name)
 
 
 def test_apply_policy_none_changes_nothing():
     mesh = _mesh(n=2, q0=3)
-    solution = _single_wave_solution(mesh, index=1)
+    coeffs = _single_wave(mesh, index=1)
     before = {eid: el.frame for eid, el in mesh.elements.items()}
-    updated = apply_directional_adaptivity(mesh, solution, "none",
+    updated = apply_directional_adaptivity(mesh, coeffs, "none",
                                            h_marked=[0], p_marked=[1])
     assert updated == {}
     assert {eid: el.frame for eid, el in mesh.elements.items()} == before
@@ -257,22 +253,22 @@ def test_apply_policy_target_sets():
     d = canonical_directions(7, 2)[1]
 
     mesh = _mesh(n=2, q0=3)
-    solution = _single_wave_solution(mesh, index=1)
-    updated = apply_directional_adaptivity(mesh, solution, "marked-p",
+    coeffs = _single_wave(mesh, index=1)
+    updated = apply_directional_adaptivity(mesh, coeffs, "marked-p",
                                            h_marked=[0], p_marked=[2])
     assert sorted(updated) == [2]
     assert_allclose(element_directions(mesh.elements[2])[0], d, atol=1e-12)
     assert element_directions(mesh.elements[0])[0].tolist() == [1.0, 0.0]
 
     mesh = _mesh(n=2, q0=3)
-    solution = _single_wave_solution(mesh, index=1)
-    updated = apply_directional_adaptivity(mesh, solution, "marked-all",
+    coeffs = _single_wave(mesh, index=1)
+    updated = apply_directional_adaptivity(mesh, coeffs, "marked-all",
                                            h_marked=[0], p_marked=[2])
     assert sorted(updated) == [0, 2]
 
     mesh = _mesh(n=2, q0=3)
-    solution = _single_wave_solution(mesh, index=1)
-    updated = apply_directional_adaptivity(mesh, solution, "all")
+    coeffs = _single_wave(mesh, index=1)
+    updated = apply_directional_adaptivity(mesh, coeffs, "all")
     assert sorted(updated) == [0, 1, 2, 3]
     for el in mesh.elements.values():
         assert_allclose(element_directions(el)[0], d, atol=1e-12)
@@ -283,8 +279,7 @@ def test_apply_skips_elements_without_direction():
     coeffs = {eid: np.full(7, 1.0 + 0.0j) for eid in mesh.elements}
     coeffs[3] = np.zeros(7, dtype=complex)
     coeffs[3][1] = 1.0
-    solution = DiscreteSolution(mesh=mesh, coefficients=coeffs)
-    updated = apply_directional_adaptivity(mesh, solution, "all")
+    updated = apply_directional_adaptivity(mesh, coeffs, "all")
     assert sorted(updated) == [3]
     assert element_directions(mesh.elements[0])[0].tolist() == [1.0, 0.0]
 
@@ -294,11 +289,11 @@ def test_apply_is_idempotent_for_fixed_field():
     # the same physical wave sits on fan index 0; a second pass with the
     # re-expressed field must leave the frames unchanged.
     mesh = _mesh(n=2, q0=3)
-    solution = _single_wave_solution(mesh, index=2, amplitude=1.0 - 0.5j)
-    first = apply_directional_adaptivity(mesh, solution, "all")
+    coeffs = _single_wave(mesh, index=2, amplitude=1.0 - 0.5j)
+    first = apply_directional_adaptivity(mesh, coeffs, "all")
     firsts = {eid: element_directions(mesh.elements[eid])[0] for eid in first}
-    solution = _single_wave_solution(mesh, index=0, amplitude=1.0 - 0.5j)
-    second = apply_directional_adaptivity(mesh, solution, "all")
+    coeffs = _single_wave(mesh, index=0, amplitude=1.0 - 0.5j)
+    second = apply_directional_adaptivity(mesh, coeffs, "all")
     for eid in second:
         assert_allclose(element_directions(mesh.elements[eid])[0], firsts[eid], atol=1e-12)
 
@@ -309,7 +304,6 @@ def test_apply_3d_frame_orientation():
     d = canonical_directions(9, 3)[4]
     coeffs = {element.id: np.zeros(9, dtype=complex)}
     coeffs[element.id][4] = 2.0
-    solution = DiscreteSolution(mesh=mesh, coefficients=coeffs)
-    updated = apply_directional_adaptivity(mesh, solution, "all")
+    updated = apply_directional_adaptivity(mesh, coeffs, "all")
     assert list(updated) == [element.id]
     assert_allclose(element_directions(element)[0], d, atol=1e-9)

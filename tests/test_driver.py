@@ -149,10 +149,10 @@ def test_adapt_loop_measures_through_module_l2_errors(kind, monkeypatch):
     # One exact-value cache serves the whole loop where the exact solution
     # needs special functions; plane waves are evaluated afresh.
     if kind == "hankel_source":
-        assert isinstance(calls[0][2], dict)
-        assert all(args[2] is calls[0][2] for args in calls)
+        assert isinstance(calls[0][3], dict)
+        assert all(args[3] is calls[0][3] for args in calls)
     else:
-        assert all(args[2] is None for args in calls)
+        assert all(args[3] is None for args in calls)
 
 
 def test_hp_loop_drives_error_down():
@@ -473,6 +473,22 @@ def test_cli_invalid_config_contents(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err and str(path) in err
         assert err.count("\n") == 1 and "Traceback" not in err
+    # Values that used to fail only inside the run, or to run nothing.
+    calibration = ("[domain]\nn = 2\n[adaptivity]\nprotocol = calibration\nmax_iters = 0\n"
+                   "calibration_q = 3\n")
+    for text, message in (
+            (calibration + "calibration_k = -1\n", "[adaptivity] calibration_k"),
+            (calibration + "calibration_k =\n", "[adaptivity] calibration_k"),
+            ("[domain]\nn = 2\n[problem]\nk = inf\n", "positive finite wavenumber"),
+            ("[domain]\nkind = square2\nn = 2\nboundary = all=dirichlet\n[problem]\n"
+             "kind = transmission\nomega = 11\nindex_below = 2\nindex_above = 1\n"
+             "incidence_deg = nan\n", "incidence_deg must be finite")):
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text,message", [
@@ -530,6 +546,40 @@ def test_cli_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(driver, "run_experiment", explode)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+CUBE_DEGREE = """
+[domain]
+kind = unit_cube
+n = 1
+[problem]
+kind = plane_wave
+k = 5
+direction = 1,1,1
+[discretization]
+q0 = {q0}
+[adaptivity]
+max_iters = {iters}
+fraction = 1
+[output]
+write_vtk = false
+"""
+
+
+@pytest.mark.parametrize("q0,iters,rows", [(9, 0, 0), (7, 3, 2)], ids=["initial", "enriched"])
+def test_cli_degree_without_direction_set_keeps_completed_records(tmp_path, capsys,
+                                                                  q0, iters, rows):
+    # 3D direction sets are bundled up to q = 8: q0 = 9 fails at once, and
+    # q0 = 7 completes two iterations before p-enrichment reaches q = 9.
+    path = tmp_path / "cube.ini"
+    path.write_text(CUBE_DEGREE.format(q0=q0, iters=iters))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "unsupported degree: no bundled 3D direction set for p=100\n"
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert len(lines) == rows + 1
+    assert [line.split(",")[2] for line in lines[1:]] == ["64", "81"][:rows]
 
 
 def test_cli_output_error_exit_code(tmp_path, monkeypatch, capsys):

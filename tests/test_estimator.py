@@ -18,7 +18,6 @@ from tdg import quadrature
 from tdg.mesh import DIRICHLET, ROBIN, DomainSpec, build_initial_mesh, refine_elements
 from tdg.problems import ProblemSpec
 from tdg.quadrature import facet_rule
-from tdg.solution import DiscreteSolution
 from tdg.solve import solve
 
 K = 20.0
@@ -40,9 +39,8 @@ def _element_at(mesh, centroid):
     raise AssertionError(f"no element centred at {centroid}")
 
 
-def _zero_solution(mesh):
-    coeffs = {eid: np.zeros(el.n_waves, dtype=complex) for eid, el in mesh.elements.items()}
-    return DiscreteSolution(mesh=mesh, coefficients=coeffs)
+def _zero_coefficients(mesh):
+    return {eid: np.zeros(el.n_waves, dtype=complex) for eid, el in mesh.elements.items()}
 
 
 def _components(record):
@@ -54,8 +52,8 @@ def test_recovered_solution_has_vanishing_indicators():
     mesh = _mesh(problem, n=4)
     system = assemble_system(mesh, problem)
     report = solve(system)
-    solution = DiscreteSolution.from_vector(mesh, report.coefficients, system.dof_map)
-    records = indicators(mesh, solution, problem)
+    coefficients = system.split(report.coefficients)
+    records = indicators(mesh, coefficients, problem)
     assert len(records) == 16
     assert max(r.eta for r in records) <= 1e-9
     assert global_estimate(records) <= 1e-9
@@ -66,16 +64,16 @@ def test_single_wave_jump_components():
     # every facet integral then has a closed form.
     problem = _plane_problem()
     mesh = _mesh(problem, n=2, q0=3)
-    solution = _zero_solution(mesh)
+    coefficients = _zero_coefficients(mesh)
     el_a = _element_at(mesh, (0.25, 0.25))
     el_b = _element_at(mesh, (0.75, 0.25))
     el_b.degree = 4
-    solution.coefficients[el_b.id] = np.zeros(el_b.n_waves, dtype=complex)
+    coefficients[el_b.id] = np.zeros(el_b.n_waves, dtype=complex)
     coeff = np.zeros(el_a.n_waves, dtype=complex)
     coeff[0] = np.exp(1j * K * el_a.centroid[0])
-    solution.coefficients[el_a.id] = coeff
+    coefficients[el_a.id] = coeff
 
-    records = {r.element: r for r in indicators(mesh, solution, problem)}
+    records = {r.element: r for r in indicators(mesh, coefficients, problem)}
     h = el_a.h
     rec_a = records[el_a.id]
     # |u| = 1 on both interior facets of length 1/2 each.
@@ -104,8 +102,8 @@ def test_single_wave_jump_components():
 def test_dirichlet_mismatch_component():
     problem = _plane_problem(boundary={"all": DIRICHLET})
     mesh = _mesh(problem, n=2, q0=3)
-    solution = _zero_solution(mesh)
-    records = {r.element: r for r in indicators(mesh, solution, problem)}
+    coefficients = _zero_coefficients(mesh)
+    records = {r.element: r for r in indicators(mesh, coefficients, problem)}
     el_a = _element_at(mesh, (0.25, 0.25))
     rec = records[el_a.id]
     # Boundary trace of the unit-modulus wave over two facets of length 1/2.
@@ -118,13 +116,13 @@ def test_dirichlet_mismatch_component():
 def test_custom_penalty_weights_scale_components():
     problem = _plane_problem()
     mesh = _mesh(problem, n=2)
-    solution = _zero_solution(mesh)
-    solution.coefficients[0][0] = 1.0
-    base = {r.element: r for r in indicators(mesh, solution, problem)}
+    coefficients = _zero_coefficients(mesh)
+    coefficients[0][0] = 1.0
+    base = {r.element: r for r in indicators(mesh, coefficients, problem)}
     scaled = {
         r.element: r
         for r in indicators(
-            mesh, solution, problem, params=PenaltyParams(alpha=2.0, beta=0.5, delta=0.5)
+            mesh, coefficients, problem, params=PenaltyParams(alpha=2.0, beta=0.5, delta=0.5)
         )
     }
     for eid in base:
@@ -167,9 +165,9 @@ def test_effectivities_zero_error_is_infinite():
 def test_indicator_order_and_nonnegativity():
     problem = _plane_problem()
     mesh = _mesh(problem, n=2)
-    solution = _zero_solution(mesh)
-    solution.coefficients[1][2] = 0.3 - 0.4j
-    records = indicators(mesh, solution, problem)
+    coefficients = _zero_coefficients(mesh)
+    coefficients[1][2] = 0.3 - 0.4j
+    records = indicators(mesh, coefficients, problem)
     assert [r.element for r in records] == sorted(mesh.elements)
     for r in records:
         assert r.eta >= 0.0
@@ -178,7 +176,7 @@ def test_indicator_order_and_nonnegativity():
 
 # --- batched skeleton passes against a per-facet pointwise reference ---
 
-def _reference_components(mesh, solution, problem, params=PenaltyParams()):
+def _reference_components(mesh, coefficients, problem, params=PenaltyParams()):
     """Weighted (jump_u, jump_gradu, robin, dirichlet) per element id, one facet at a time."""
     raw = {eid: np.zeros(4) for eid in mesh.elements}
     facets = mesh.facets()
@@ -192,7 +190,7 @@ def _reference_components(mesh, solution, problem, params=PenaltyParams()):
         traces = []
         for el in sides:
             values, grads = eval_basis(el, rule.points, order=1)
-            c = solution.coefficients[el.id]
+            c = coefficients[el.id]
             traces.append((values @ c, (grads @ normal) @ c))
         if side_b < 0:
             ((u, gn),) = traces
@@ -229,19 +227,19 @@ def _mixed_case(kind):
     rng = np.random.default_rng(3)
     coeffs = {eid: rng.normal(size=el.n_waves) + 1j * rng.normal(size=el.n_waves)
               for eid, el in mesh.elements.items()}
-    return mesh, problem, DiscreteSolution(mesh=mesh, coefficients=coeffs)
+    return mesh, problem, coeffs
 
 
 @pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
 def test_batched_indicators_match_per_facet_reference(kind):
-    mesh, problem, solution = _mixed_case(kind)
+    mesh, problem, coefficients = _mixed_case(kind)
     facets = mesh.facets()
     interior = facets.side_b >= 0
     assert any(mesh.elements[a].level != mesh.elements[b].level for a, b in
                zip(facets.side_a[interior].tolist(), facets.side_b[interior].tolist()))
     assert set(facets.tag[~interior].tolist()) == {ROBIN, DIRICHLET}
-    want = _reference_components(mesh, solution, problem)
-    records = indicators(mesh, solution, problem)
+    want = _reference_components(mesh, coefficients, problem)
+    records = indicators(mesh, coefficients, problem)
     assert [r.element for r in records] == sorted(want)
     for record in records:
         assert_allclose(_components(record), want[record.element], rtol=1e-12, atol=0.0)
@@ -251,14 +249,14 @@ def test_batched_indicators_match_per_facet_reference(kind):
 
 @pytest.mark.parametrize("kind", ["unit_square", "unit_cube"])
 def test_batch_cap_of_one_facet_changes_nothing(kind, monkeypatch):
-    mesh, problem, solution = _mixed_case(kind)
+    mesh, problem, coefficients = _mixed_case(kind)
     batches = list(quadrature.skeleton_batches(mesh))
     assert max(len(b.side_a) for b in batches) > 1
     for b in batches:  # (facets, points, waves of both sides) within the cap
         width = b.n ** (mesh.dim - 1) * (b.p_a + b.p_b)
         assert len(b.side_a) == 1 or len(b.side_a) * width <= quadrature.BATCH_VALUES
     system = assemble_system(mesh, problem)
-    records = indicators(mesh, solution, problem)
+    records = indicators(mesh, coefficients, problem)
     monkeypatch.setattr(quadrature, "BATCH_VALUES", 1)
     assert all(len(b.side_a) == 1 for b in quadrature.skeleton_batches(mesh))
     single = assemble_system(mesh, problem)
@@ -266,5 +264,5 @@ def test_batch_cap_of_one_facet_changes_nothing(kind, monkeypatch):
     for key, block in system.blocks.items():
         assert np.max(np.abs(single.blocks[key] - block)) <= 1e-14 * np.max(np.abs(block))
     assert np.max(np.abs(single.rhs - system.rhs)) <= 1e-14 * np.max(np.abs(system.rhs))
-    for one, many in zip(indicators(mesh, solution, problem), records):
+    for one, many in zip(indicators(mesh, coefficients, problem), records):
         assert_allclose(_components(one), _components(many), rtol=1e-14, atol=0.0)

@@ -16,7 +16,6 @@ from tdg.problems import (
     l2_errors,
 )
 from tdg.quadrature import grid_points, skeleton_batches, volume_rule
-from tdg.solution import DiscreteSolution
 
 mpmath.mp.dps = 40
 
@@ -312,6 +311,19 @@ def test_validation_errors():
     for bad in ({"omega": -11.0}, {"omega": 0.0}, {"index_below": -2.0}, {"index_above": 0.0}):
         with pytest.raises(ProblemError, match="must be positive"):
             dataclasses.replace(transmission_problem(69.0), **bad)
+    # Non-finite numbers end later in a bad quadrature size or a non-finite solve.
+    for bad in ({"omega": np.inf}, {"omega": np.nan}, {"index_below": np.inf},
+                {"index_above": np.nan}):
+        with pytest.raises(ProblemError, match="must be positive and finite"):
+            dataclasses.replace(transmission_problem(69.0), **bad)
+    for angle in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ProblemError, match="incidence_deg must be finite"):
+            dataclasses.replace(transmission_problem(69.0), incidence_deg=angle)
+    for kind, domain in (("hankel_source", _domain()), ("plane_wave", _domain()),
+                         ("singular_corner", _domain("l_shape"))):
+        for k in (np.inf, np.nan, None):
+            with pytest.raises(ProblemError, match="positive finite wavenumber"):
+                ProblemSpec(kind=kind, domain=domain, k=k, direction=(1.0, 0.0))
 
 
 def test_transmission_wave_parameters():
@@ -438,15 +450,15 @@ def test_l2_errors_cache_evaluates_only_new_elements(name, monkeypatch):
     for step in [None, *steps]:
         if step is not None:
             mesh = step(mesh)
-        solution = DiscreteSolution(mesh, {
+        coefficients = {
             eid: rng.standard_normal(el.n_waves) + 1j * rng.standard_normal(el.n_waves)
             for eid, el in mesh.elements.items()
-        })
+        }
         current = _exact_keys(mesh)
         rows.clear()
-        cached = l2_errors(solution, problem, cache)
+        cached = l2_errors(mesh, coefficients, problem, cache)
         assert sum(rows) == sum(size for key, size in current.items()
                                 if key not in previous)
         assert set(cache) == set(current)
-        assert cached == l2_errors(solution, problem)
+        assert cached == l2_errors(mesh, coefficients, problem)
         previous = current
