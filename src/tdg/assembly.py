@@ -9,11 +9,13 @@ sesquilinear form contributes
   - {grad u . n} [v] + alpha i k [u][v]
 
 per unit area, with jumps [w] = w_A - w_B and averages {w} = (w_A +
-w_B)/2 taken along n.  Robin facets use the impedance splitting with
-weight delta, Dirichlet facets the penalty alpha i k; the right-hand
-side mirrors the boundary terms so the scheme is consistent.  On a
-material-interface facet the coefficient wavenumber is the shared
-frequency supplied by the problem.
+w_B)/2 taken along n.  Robin facets (data du/dn + i k u) use the
+impedance splitting with weight delta, Dirichlet facets the penalty
+alpha i k; the right-hand side mirrors the boundary terms so the scheme
+is consistent.  alpha, beta and delta are the constants ALPHA = BETA =
+DELTA = 1/2: the UWVF member of the Trefftz DG family (Gittelson,
+Hiptmair & Perugia, M2AN 43, 2009).  On a material-interface facet the
+coefficient wavenumber is the shared frequency supplied by the problem.
 
 The skeleton is walked in the batches of `quadrature.skeleton_batches`.
 On an interior facet both traces are plane waves and the normal
@@ -43,14 +45,7 @@ from .basis import WaveTable, grid_waves
 from .mesh import ROBIN
 from .quadrature import box_gram, skeleton_batches
 
-
-@dataclass(frozen=True)
-class PenaltyParams:
-    """Flux weights of the skeleton form; 1/2 everywhere recovers the UWVF."""
-
-    alpha: float = 0.5
-    beta: float = 0.5
-    delta: float = 0.5
+ALPHA = BETA = DELTA = 0.5
 
 
 @dataclass
@@ -94,7 +89,7 @@ def _add_blocks(blocks, test_ids, trial_ids, mats):
             block += mat
 
 
-def _interior_blocks(batch, waves, problem, params):
+def _interior_blocks(batch, waves, problem):
     """(test ids, trial ids, blocks (F, p_t, p_r)) of the four side pairs."""
     kd_a, c_a, k_a = waves.take(batch.side_a, batch.p_a)
     kd_b, c_b, k_b = waves.take(batch.side_b, batch.p_b)
@@ -111,18 +106,17 @@ def _interior_blocks(batch, waves, problem, params):
         (batch.side_a, 1j * (kd_a @ normal)[:, :, 0], 1.0),
         (batch.side_b, 1j * (kd_b @ normal)[:, :, 0], -1.0),
     )
-    alpha, beta = params.alpha, params.beta
     for t, (test_ids, dn_t, s_t) in enumerate(sides):
         dn_t = dn_t.conj()[:, :, None]
         for r, (trial_ids, dn_r, s_r) in enumerate(sides):
             dn_r = dn_r[:, None, :]
-            flux = dn_t * (0.5 * s_t - (beta / ik) * s_r * s_t * dn_r) + (
-                -0.5 * s_t * dn_r + alpha * ik * s_r * s_t
+            flux = dn_t * (0.5 * s_t - (BETA / ik) * s_r * s_t * dn_r) + (
+                -0.5 * s_t * dn_r + ALPHA * ik * s_r * s_t
             )
             yield test_ids, trial_ids, grams[t, r] * flux
 
 
-def _boundary_blocks(batch, waves, problem, params):
+def _boundary_blocks(batch, waves, problem):
     """(blocks (F, p, p), loads (F, p)) of boundary facets, by per-axis quadrature."""
     w = batch.weights()
     # hankel1 and jv slow down right after a zgemm (tdg.basis): the data
@@ -141,17 +135,16 @@ def _boundary_blocks(batch, waves, problem, params):
     k = k[:, None]
     dc = dn.conj()
     if batch.tag == ROBIN:
-        ikt = 1j * k * problem.impedance_sign
-        delta = params.delta
-        flux = (1.0 - delta) * (dc[:, :, None] + ikt[:, :, None]) - delta * (
+        ikt = 1j * k
+        flux = (1.0 - DELTA) * (dc[:, :, None] + ikt[:, :, None]) - DELTA * (
             (1.0 / ikt)[:, :, None] * dc[:, :, None] * dn[:, None, :] + dn[:, None, :]
         )
-        return gram * flux, loads * ((1.0 - delta) - (delta / ikt) * dc)
-    ika = 1j * k * params.alpha
+        return gram * flux, loads * ((1.0 - DELTA) - (DELTA / ikt) * dc)
+    ika = 1j * k * ALPHA
     return gram * (ika[:, :, None] - dn[:, None, :]), loads * (ika - dc)
 
 
-def assemble_system(mesh, problem, params=PenaltyParams()):
+def assemble_system(mesh, problem):
     """Assemble the TDG system for the mesh and problem over the mesh skeleton."""
     dof_map = {}
     offset = 0
@@ -165,10 +158,10 @@ def assemble_system(mesh, problem, params=PenaltyParams()):
     waves = WaveTable(mesh.elements)
     for batch in skeleton_batches(mesh):
         if not batch.is_boundary:
-            for test_ids, trial_ids, mats in _interior_blocks(batch, waves, problem, params):
+            for test_ids, trial_ids, mats in _interior_blocks(batch, waves, problem):
                 _add_blocks(blocks, test_ids, trial_ids, mats)
             continue
-        mats, loads = _boundary_blocks(batch, waves, problem, params)
+        mats, loads = _boundary_blocks(batch, waves, problem)
         _add_blocks(blocks, batch.side_a, batch.side_a, mats)
         first = np.array([dof_map[eid][0] for eid in batch.side_a])
         np.add.at(rhs, first[:, None] + np.arange(loads.shape[1]), loads)

@@ -9,10 +9,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .assembly import PenaltyParams
 from .directional import POLICIES
 from .hp_adapt import MODES, AdaptConfig
-from .mesh import BOUNDARY_SIDES, BOUNDARY_TAGS, ROBIN, DomainSpec, _DOMAINS
+from .mesh import ROBIN, DomainSpec, MeshError, _DOMAINS
 from .problems import PROBLEM_KINDS, ProblemSpec
 
 
@@ -37,21 +36,14 @@ DEFAULTS = {
         "index_below": "",
         "index_above": "",
         "incidence_deg": "",
-        "impedance_sign": "1.0",
     },
     "discretization": {
         "q0": "3",
-        "alpha": "0.5",
-        "beta": "0.5",
-        "delta": "0.5",
     },
     "adaptivity": {
         "protocol": "adapt",
         "mode": "hp",
         "fraction": "0.25",
-        "gamma_h": "4.0",
-        "gamma_p": "0.4",
-        "gamma_n": "1.0",
         "policy": "none",
         "max_iters": "10",
         "stop_on_stagnation": "true",
@@ -76,7 +68,6 @@ class ExperimentConfig:
     n: int
     problem: ProblemSpec
     q0: int
-    penalties: PenaltyParams
     protocol: str
     adapt: AdaptConfig
     stop_on_stagnation: bool
@@ -132,10 +123,6 @@ def _parse_boundary(text):
         if "=" not in chunk:
             raise ConfigError(f"[domain] boundary: expected side=tag entries, got {chunk!r}")
         side, tag = (part.strip().lower() for part in chunk.split("=", 1))
-        if side not in BOUNDARY_SIDES:
-            raise ConfigError(f"[domain] boundary: unknown side {side!r}")
-        if tag not in BOUNDARY_TAGS:
-            raise ConfigError(f"[domain] boundary: unknown tag {tag!r}")
         partition[side] = tag
     partition.setdefault("all", ROBIN)
     return partition
@@ -161,7 +148,10 @@ def _build(raw):
     if kind not in _DOMAINS:
         raise ConfigError(f"[domain] kind: unknown domain {kind!r}")
     partition = _parse_boundary(raw["domain"]["boundary"])
-    domain = DomainSpec(kind=kind, boundary_partition=partition)
+    try:
+        domain = DomainSpec(kind=kind, boundary_partition=partition)
+    except MeshError as exc:
+        raise ConfigError(f"[domain] boundary: {exc}") from exc
     n = _get(raw, "domain", "n", int, "an integer")
     if n < 1:
         raise ConfigError(f"[domain] n: must be >= 1, got {n}")
@@ -185,7 +175,6 @@ def _build(raw):
             index_below=opt("index_below"),
             index_above=opt("index_above"),
             incidence_deg=opt("incidence_deg"),
-            impedance_sign=_get(raw, "problem", "impedance_sign", float, "a number"),
         )
     except Exception as exc:
         raise ConfigError(f"[problem] {exc}") from exc
@@ -193,11 +182,6 @@ def _build(raw):
     q0 = _get(raw, "discretization", "q0", int, "an integer")
     if q0 < 1:
         raise ConfigError(f"[discretization] q0: must be >= 1, got {q0}")
-    penalties = PenaltyParams(
-        alpha=_get(raw, "discretization", "alpha", float, "a number"),
-        beta=_get(raw, "discretization", "beta", float, "a number"),
-        delta=_get(raw, "discretization", "delta", float, "a number"),
-    )
 
     protocol = raw["adaptivity"]["protocol"]
     if protocol not in PROTOCOLS:
@@ -216,14 +200,14 @@ def _build(raw):
         adapt = AdaptConfig(
             mode=mode,
             fraction=fraction,
-            gamma_h=_get(raw, "adaptivity", "gamma_h", float, "a number"),
-            gamma_p=_get(raw, "adaptivity", "gamma_p", float, "a number"),
-            gamma_n=_get(raw, "adaptivity", "gamma_n", float, "a number"),
             policy=policy,
             max_iters=max_iters,
         )
     except ValueError as exc:
         raise ConfigError(f"[adaptivity] {exc}") from exc
+    cond_limit = _get(raw, "adaptivity", "cond_limit", float, "a number")
+    if not cond_limit > 0:  # written so that nan fails too
+        raise ConfigError(f"[adaptivity] cond_limit: must be > 0, got {cond_limit}")
 
     q_min = _get(raw, "adaptivity", "q_min", int, "an integer")
     q_max = _get(raw, "adaptivity", "q_max", int, "an integer")
@@ -246,11 +230,10 @@ def _build(raw):
         n=n,
         problem=problem,
         q0=q0,
-        penalties=penalties,
         protocol=protocol,
         adapt=adapt,
         stop_on_stagnation=_get_bool(raw, "adaptivity", "stop_on_stagnation"),
-        cond_limit=_get(raw, "adaptivity", "cond_limit", float, "a number"),
+        cond_limit=cond_limit,
         q_min=q_min,
         q_max=q_max,
         passes=passes,

@@ -63,19 +63,18 @@ def symmetric_eigenpairs(matrix):
     return values, vectors
 
 
-def potential_direction(lam, vecs_re, mu, vecs_im, gap=GAP_FACTOR):
+def potential_direction(lam, vecs_re, mu, vecs_im):
     """Select a candidate dominant direction by the module's rules, or None.
 
     ``lam``/``mu`` are eigenvalues of the real/imaginary Hessians sorted by
-    descending magnitude with matching eigenvector columns; ``gap`` is the
-    factor of the concentration and dominance tests.
+    descending magnitude with matching eigenvector columns.
     """
     l1, l2 = abs(lam[0]), abs(lam[1])
     m1, m2 = abs(mu[0]), abs(mu[1])
-    re_concentrated, im_concentrated = l1 >= gap * l2, m1 >= gap * m2
-    if re_concentrated and l1 >= gap * m1:
+    re_concentrated, im_concentrated = l1 >= GAP_FACTOR * l2, m1 >= GAP_FACTOR * m2
+    if re_concentrated and l1 >= GAP_FACTOR * m1:
         return vecs_re[:, 0]
-    if im_concentrated and m1 >= gap * l1:
+    if im_concentrated and m1 >= GAP_FACTOR * l1:
         return vecs_im[:, 0]
     if not (re_concentrated and im_concentrated):
         return None

@@ -57,7 +57,7 @@ def initial_mesh(config):
 
 
 def _solve_on(mesh, config):
-    system = assemble_system(mesh, config.problem, config.penalties)
+    system = assemble_system(mesh, config.problem)
     report = solve(system)
     return system.split(report.coefficients), report
 
@@ -80,7 +80,7 @@ def _exact_cache(problem):
 
 def _measure(mesh, coefficients, report, config, it, wall_ms, cache):
     """Iteration record, indicator records and the (abs, norm) exact L2 errors."""
-    records = indicators(mesh, coefficients, config.problem, config.penalties)
+    records = indicators(mesh, coefficients, config.problem)
     abs_err, exact_norm = l2_errors(mesh, coefficients, config.problem, cache)
     estimate = global_estimate(records)
     eff = effectivities(records, abs_err)
@@ -153,9 +153,7 @@ def run_adapt_loop(config, out_dir=None, history=None):
         apply_directional_adaptivity(
             mesh, coefficients, config.adapt.policy, h_marked=plan[0], p_marked=plan[1]
         )
-        mesh, predictions = decide_and_refine(
-            mesh, plan, indicator_records, predictions, config.adapt
-        )
+        mesh, predictions = decide_and_refine(mesh, plan, indicator_records, predictions)
         enforce_degree_compatibility(mesh)
     return history
 

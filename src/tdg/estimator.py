@@ -9,9 +9,10 @@ adjacent elements, each with its own diameter/degree weight.
 With ``h`` the element diameter and ``q`` the element degree, the squared
 facet integrals are weighted by ``alpha h/q`` for the solution jump and the
 Dirichlet term, ``beta h^3/q^3`` for the normal-derivative jump and
-``delta h^3/q^3`` for the Robin term (``alpha``, ``beta``, ``delta`` from
-``PenaltyParams``).  For a discrete solution made of waves of number ``k``
-the normal-derivative jump is about ``k`` times the solution jump, so the
+``delta h^3/q^3`` for the Robin term, where ``alpha``, ``beta`` and
+``delta`` are the flux weights ``ALPHA``, ``BETA`` and ``DELTA`` of
+`tdg.assembly`.  For a discrete solution made of waves of number ``k`` the
+normal-derivative jump is about ``k`` times the solution jump, so the
 weighted gradient-to-solution-jump ratio goes like ``kh/q``: the gradient
 jump dominates on coarse meshes and the solution jump once ``kh/q`` is small.
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import PenaltyParams
+from .assembly import ALPHA, BETA, DELTA
 from .basis import WaveTable, grid_sum, grid_waves
 from .mesh import ROBIN
 from .quadrature import skeleton_batches
@@ -64,7 +65,7 @@ def _traces(waves, ids, p, batch):
     return grid_sum(factors, coeffs), grid_sum(factors, dn * coeffs), k
 
 
-def indicators(mesh, coefficients, problem, params=PenaltyParams()):
+def indicators(mesh, coefficients, problem):
     """Indicator records for every element, ordered by element id."""
     ids = np.array(mesh.element_ids())
     waves = WaveTable(mesh.elements, coefficients)
@@ -85,7 +86,7 @@ def indicators(mesh, coefficients, problem, params=PenaltyParams()):
         data = problem.boundary_on_grid(batch.tag, batch.grid_axes(), batch.normal[0])
         u, gn, k = _traces(waves, batch.side_a, batch.p_a, batch)
         if batch.tag == ROBIN:
-            residual = data - (gn + 1j * k[:, None] * problem.impedance_sign * u)
+            residual = data - (gn + 1j * k[:, None] * u)
             np.add.at(raw[:, 2], rows_a, _weighted_squares(w, residual))
         else:
             np.add.at(raw[:, 3], rows_a, _weighted_squares(w, data - u))
@@ -94,10 +95,10 @@ def indicators(mesh, coefficients, problem, params=PenaltyParams()):
         el = mesh.elements[eid]
         h = el.h
         q = el.degree
-        ju2 = params.alpha * (h / q) * ju_sq
-        jg2 = params.beta * (h ** 3 / q ** 3) * jg_sq
-        ro2 = params.delta * (h ** 3 / q ** 3) * ro_sq
-        di2 = params.alpha * (h / q) * di_sq
+        ju2 = ALPHA * (h / q) * ju_sq
+        jg2 = BETA * (h ** 3 / q ** 3) * jg_sq
+        ro2 = DELTA * (h ** 3 / q ** 3) * ro_sq
+        di2 = ALPHA * (h / q) * di_sq
         eta = math.sqrt(ju2 + jg2 + ro2 + di2)
         records.append(IndicatorRecord(
             element=eid,

@@ -6,6 +6,9 @@ The forecast indicator of each element lives in a dict {id: value} that
 indicator still exceeds its forecast failed to converge at the expected
 rate and is h-refined; otherwise it is p-enriched.  A missing id counts as
 an infinite forecast, so the first refinement of any element is a p-step.
+The forecast factors GAMMA_H = 4 (after h-refinement), GAMMA_P = 0.4
+(after p-enrichment) and GAMMA_N = 1 (unchanged elements) are those of
+Melenk & Wohlmuth (Adv. Comput. Math. 15, 2001).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from .mesh import refine_elements
 
 MODES = ("hp", "h_only")
+GAMMA_H, GAMMA_P, GAMMA_N = 4.0, 0.4, 1.0
 
 
 @dataclass
@@ -24,9 +28,6 @@ class AdaptConfig:
 
     mode: str = "hp"
     fraction: float = 0.25
-    gamma_h: float = 4.0
-    gamma_p: float = 0.4
-    gamma_n: float = 1.0
     policy: str = "none"
     max_iters: int = 10
 
@@ -63,7 +64,7 @@ def plan_refinement(marks, records, predictions, config):
     return h_set, p_set
 
 
-def decide_and_refine(mesh, plan, records, predictions, config):
+def decide_and_refine(mesh, plan, records, predictions):
     """Apply the (h_set, p_set) plan of `plan_refinement` and forecast the next indicators.
 
     `predictions` holds the forecasts for `mesh`.  Returns ``(new_mesh,
@@ -81,16 +82,16 @@ def decide_and_refine(mesh, plan, records, predictions, config):
     forecasts = {}
     for parent, children in new_mesh.last_refined.items():
         q_parent = mesh.elements[parent].degree + (parent in p_set)
-        pred_sq = (1.0 / n_children) * config.gamma_h * 0.5 ** (2 * q_parent) * eta[parent] ** 2
+        pred_sq = (1.0 / n_children) * GAMMA_H * 0.5 ** (2 * q_parent) * eta[parent] ** 2
         for cid in children:
             forecasts[cid] = math.sqrt(pred_sq)
     for eid in new_mesh.elements:
         if eid in forecasts:
             continue
         if eid in p_set:
-            forecasts[eid] = math.sqrt(config.gamma_p) * eta[eid]
+            forecasts[eid] = math.sqrt(GAMMA_P) * eta[eid]
         else:
-            forecasts[eid] = math.sqrt(config.gamma_n) * predictions.get(eid, math.inf)
+            forecasts[eid] = math.sqrt(GAMMA_N) * predictions.get(eid, math.inf)
     return new_mesh, forecasts
 
 

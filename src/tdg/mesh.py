@@ -29,7 +29,6 @@ _DOMAINS = {
 }
 
 _SIDE_NAMES = ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
-BOUNDARY_SIDES = ("all", *_SIDE_NAMES, "reentrant")
 
 
 class MeshError(Exception):
@@ -40,10 +39,11 @@ class MeshError(Exception):
 class DomainSpec:
     """Computational domain plus its boundary-condition partition.
 
-    boundary_partition maps side names ("all", "xmin", ..., "zmax",
-    "reentrant") to "robin" or "dirichlet"; specific sides override
-    "all".  The l_shape domain is (-1,1)^2 with the quadrant x>0, y<0
-    removed, so its reentrant corner sits at the origin.
+    boundary_partition maps side names to "robin" or "dirichlet": "all",
+    the 2 * dim names "xmin", ..., of the domain's dimension, and on the
+    l_shape domain "reentrant"; specific sides override "all".  The
+    l_shape domain is (-1,1)^2 with the quadrant x>0, y<0 removed, so its
+    reentrant corner sits at the origin.
     """
 
     kind: str
@@ -52,9 +52,12 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in _DOMAINS:
             raise MeshError(f"unknown domain kind {self.kind!r}")
+        sides = ("all", *_SIDE_NAMES[:2 * self.dim])
+        if self.kind == "l_shape":
+            sides += ("reentrant",)
         for key, tag in self.boundary_partition.items():
-            if key not in BOUNDARY_SIDES:
-                raise MeshError(f"unknown boundary side {key!r}")
+            if key not in sides:
+                raise MeshError(f"unknown boundary side {key!r} of the {self.kind} domain")
             if tag not in BOUNDARY_TAGS:
                 raise MeshError(f"boundary tag must be robin or dirichlet, got {tag!r}")
 

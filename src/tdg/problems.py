@@ -3,7 +3,7 @@
 Four problem kinds drive the solver and its tests:
 
 * ``hankel_source``: cylindrical wave H1_0(k|x - x_s|) radiating from
-  x_s = (-1/4, 0) just outside the unit square; Robin data everywhere.
+  x_s = (-1/4, 0) just outside the unit square, its only domain; Robin data.
 * ``singular_corner``: J_{2/3}(k r) sin(2 theta / 3) on the L-shaped
   domain, the canonical reentrant-corner solution with an r^{2/3}
   singularity at the origin.
@@ -13,6 +13,8 @@ Four problem kinds drive the solver and its tests:
   Dirichlet data everywhere.  The incidence angle is measured from the
   interface, so grazing angles below the critical one are evanescent.
 * ``plane_wave``: exp(i k d . x) in any dimension; Robin data.
+
+Robin data is g_R = du/dn + i k u with n the outward normal.
 
 The wavenumber rule lives here alone, on arrays: `ProblemSpec.wavenumber`
 per point (root centroids, Robin data) and `facet_wavenumber` per interior
@@ -59,11 +61,7 @@ class SingularPointError(ProblemError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A Helmholtz benchmark problem on a fixed domain.
-
-    `impedance_sign` is the +-1 factor in the Robin condition
-    du/dn + i*k*impedance_sign*u = g_R.
-    """
+    """A Helmholtz benchmark problem on a fixed domain."""
 
     kind: str
     domain: object
@@ -73,7 +71,6 @@ class ProblemSpec:
     index_below: float | None = None
     index_above: float | None = None
     incidence_deg: float | None = None
-    impedance_sign: float = 1.0
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
@@ -97,12 +94,12 @@ class ProblemSpec:
             if d.shape != (self.domain.dim,) or not 0.0 < length < np.inf:
                 raise ProblemError(f"plane_wave direction needs {self.domain.dim} components "
                                    f"and a finite nonzero length, got {self.direction}")
+        if self.kind == "hankel_source" and self.domain.kind != "unit_square":
+            raise ProblemError("hankel_source is defined on the unit_square domain")
         if self.kind == "singular_corner" and self.domain.kind != "l_shape":
             raise ProblemError("singular_corner is defined on the l_shape domain")
         if self.kind == "transmission" and self.domain.kind != "square2":
             raise ProblemError("transmission is defined on the square2 domain")
-        if self.impedance_sign not in (-1.0, 1.0, -1, 1):
-            raise ProblemError("impedance_sign must be +1 or -1")
 
     # transmission-derived quantities ------------------------------------
     @cached_property
@@ -219,7 +216,7 @@ class ProblemSpec:
         return u, np.stack([gx, gy], axis=1)
 
     def boundary_data(self, tag, points, normal):
-        """Robin data g_R = du/dn + i k vartheta u or Dirichlet data g_D = u."""
+        """Robin data g_R = du/dn + i k u or Dirichlet data g_D = u."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if tag == "dirichlet":
             return self.exact_solution(pts)
@@ -227,7 +224,7 @@ class ProblemSpec:
             raise ProblemError(f"unknown boundary tag {tag!r}")
         u, grad = self.exact_solution(pts, gradient=True)
         return (grad @ np.asarray(normal, dtype=float)
-                + 1j * self.wavenumber(pts) * self.impedance_sign * u)
+                + 1j * self.wavenumber(pts) * u)
 
     # values on tensor grids ---------------------------------------------
     def exact_on_grid(self, axes):
@@ -248,9 +245,8 @@ class ProblemSpec:
             return self.exact_on_grid(axes)
         if tag != "robin":
             raise ProblemError(f"unknown boundary tag {tag!r}")
-        # grad u = i k u d, so du/dn + i k vartheta u = i k (d.n + vartheta) u.
-        ikn = 1j * self.k * (self._unit_direction @ np.asarray(normal, dtype=float)
-                             + self.impedance_sign)
+        # grad u = i k u d, so du/dn + i k u = i k (d.n + 1) u.
+        ikn = 1j * self.k * (self._unit_direction @ np.asarray(normal, dtype=float) + 1.0)
         return ikn * outer_rows(self._plane_wave_factors(axes))
 
     def _plane_wave_factors(self, axes):

@@ -320,13 +320,13 @@ write_vtk = false
     mesh = initial_mesh(config)
     predictions = {}
     for _ in range(8):
-        system = assemble_system(mesh, config.problem, config.penalties)
+        system = assemble_system(mesh, config.problem)
         report = solve(system)
         coefficients = system.split(report.coefficients)
-        records = indicators(mesh, coefficients, config.problem, config.penalties)
+        records = indicators(mesh, coefficients, config.problem)
         marks = mark_elements(records, config.adapt.fraction)
         plan = plan_refinement(marks, records, predictions, config.adapt)
-        mesh, predictions = decide_and_refine(mesh, plan, records, predictions, config.adapt)
+        mesh, predictions = decide_and_refine(mesh, plan, records, predictions)
         enforce_degree_compatibility(mesh)
     distances = [float(np.linalg.norm(el.centroid)) for el in mesh.elements.values()]
     near_fraction = sum(1 for d in distances if d <= 0.25) / len(distances)
@@ -402,14 +402,14 @@ def test_criterion_7_selection_orientation_prediction_rotation():
     if h_set or p_set != {0, 1}:
         failures.append("first refinement not p")
     plan = plan_refinement({0}, records, {}, AdaptConfig())
-    _, predictions = decide_and_refine(mesh_p, plan, records, {}, AdaptConfig())
+    _, predictions = decide_and_refine(mesh_p, plan, records, {})
     if abs(predictions[0] - math.sqrt(0.4)) > 1e-14:
         failures.append("p prediction")
     mesh_h = build_initial_mesh(domain, 2, problem.wavenumber, 4)
     records = fresh_records(mesh_h, eta=1.0)
     forecasts = dict.fromkeys(mesh_h.elements, 0.5)
     plan = plan_refinement({0}, records, forecasts, AdaptConfig())
-    new_mesh, predictions = decide_and_refine(mesh_h, plan, records, forecasts, AdaptConfig())
+    new_mesh, predictions = decide_and_refine(mesh_h, plan, records, forecasts)
     for child in new_mesh.last_refined[0]:
         if abs(predictions[child] - 0.0625) > 1e-14:
             failures.append("h prediction")

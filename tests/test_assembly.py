@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from tdg.assembly import PenaltyParams, assemble_system
+from tdg import assembly
+from tdg.assembly import assemble_system
 from tdg.basis import eval_basis, frame_from_direction
 from tdg.mesh import DIRICHLET, ROBIN, DomainSpec, build_initial_mesh, refine_elements
 from tdg.problems import ProblemSpec, l2_errors
@@ -22,8 +23,8 @@ def _mesh_for(problem, n, q0):
     return build_initial_mesh(problem.domain, n, problem.wavenumber, q0)
 
 
-def _solve_problem(mesh, problem, params=None):
-    system = assemble_system(mesh, problem, params or PenaltyParams())
+def _solve_problem(mesh, problem):
+    system = assemble_system(mesh, problem)
     report = solve(system)
     return system.split(report.coefficients), report, system
 
@@ -34,8 +35,7 @@ def _relative_error(mesh, coefficients, problem):
 
 
 def test_penalty_defaults_are_half():
-    params = PenaltyParams()
-    assert (params.alpha, params.beta, params.delta) == (0.5, 0.5, 0.5)
+    assert (assembly.ALPHA, assembly.BETA, assembly.DELTA) == (0.5, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -144,15 +144,13 @@ def test_blocks_follow_mesh_adjacency():
             ) in neighbours
 
 
-def test_flux_parameters_change_system():
+def test_flux_parameters_change_system(monkeypatch):
     problem = _plane_problem("unit_square", (1.0, 0.0))
     mesh = _mesh_for(problem, 2, 3)
     base = assemble_system(mesh, problem).to_sparse().toarray()
-    heavy = (
-        assemble_system(mesh, problem, PenaltyParams(alpha=1.0, beta=0.25, delta=0.5))
-        .to_sparse()
-        .toarray()
-    )
+    monkeypatch.setattr(assembly, "ALPHA", 1.0)
+    monkeypatch.setattr(assembly, "BETA", 0.25)
+    heavy = assemble_system(mesh, problem).to_sparse().toarray()
     assert np.abs(base - heavy).max() > 1e-6
 
 
@@ -200,11 +198,12 @@ def test_to_sparse_equals_meshgrid_flattening(kind, direction, n, marked):
     assert np.array_equal(got.data, want.data)
 
 
-def _reference_system(mesh, problem, params=PenaltyParams()):
-    """Blocks and rhs by Gauss quadrature, one facet at a time."""
-    system = assemble_system(mesh, problem, params)  # for the dof layout only
+def _reference_system(mesh, problem):
+    """Blocks and rhs by Gauss quadrature, one facet at a time, with the
+    flux weights `tdg.assembly` holds when it is called."""
+    system = assemble_system(mesh, problem)  # for the dof layout only
     blocks, rhs = {}, np.zeros_like(system.rhs)
-    alpha, beta, delta = params.alpha, params.beta, params.delta
+    alpha, beta, delta = assembly.ALPHA, assembly.BETA, assembly.DELTA
     facets = mesh.facets()
     for f, (side_b, tag) in enumerate(zip(facets.side_b.tolist(), facets.tag.tolist())):
         el_a = mesh.elements[facets.side_a[f]]
@@ -219,7 +218,7 @@ def _reference_system(mesh, problem, params=PenaltyParams()):
             data = rule.weights * problem.boundary_data(tag, rule.points, facets.normal[f])
             vc, gc = v.conj().T, g.conj().T
             if tag == ROBIN:
-                ikt = 1j * el_a.k * problem.impedance_sign
+                ikt = 1j * el_a.k
                 mat = (1.0 - delta) * (gc @ (w * v) + ikt * (vc @ (w * v))) - delta * (
                     (gc @ (w * g)) / ikt + vc @ (w * g))
                 vec = (1.0 - delta) * (vc @ data) - (delta / ikt) * (gc @ data)
@@ -242,8 +241,8 @@ def _reference_system(mesh, problem, params=PenaltyParams()):
     return system, blocks, rhs
 
 
-def _assert_matches_reference(mesh, problem, params=PenaltyParams()):
-    system, blocks, rhs = _reference_system(mesh, problem, params)
+def _assert_matches_reference(mesh, problem):
+    system, blocks, rhs = _reference_system(mesh, problem)
     assert sorted(system.blocks) == sorted(blocks)
     for key, block in blocks.items():
         assert np.max(np.abs(system.blocks[key] - block)) <= 1e-12 * np.max(np.abs(block))
@@ -254,7 +253,7 @@ def _assert_matches_reference(mesh, problem, params=PenaltyParams()):
     "kind, direction, n, marked",
     [("unit_square", (0.6, 0.8), 4, [0, 5]), ("unit_cube", (0.0, 0.6, 0.8), 2, [0])],
 )
-def test_closed_form_blocks_match_per_facet_quadrature(kind, direction, n, marked):
+def test_closed_form_blocks_match_per_facet_quadrature(kind, direction, n, marked, monkeypatch):
     boundary = {"all": ROBIN, "xmin": DIRICHLET}
     problem = _plane_problem(kind, direction, boundary=boundary)
     mesh = refine_elements(_mesh_for(problem, n, 2), marked)
@@ -262,7 +261,10 @@ def test_closed_form_blocks_match_per_facet_quadrature(kind, direction, n, marke
         el.degree = 1 + eid % 3
         if eid % 4 == 1:
             el.frame = frame_from_direction(np.roll(direction, 1))
-    _assert_matches_reference(mesh, problem, PenaltyParams(alpha=0.7, beta=0.3, delta=0.4))
+    # Distinct weights, so that a term with the wrong weight shows.
+    for name, value in (("ALPHA", 0.7), ("BETA", 0.3), ("DELTA", 0.4)):
+        monkeypatch.setattr(assembly, name, value)
+    _assert_matches_reference(mesh, problem)
 
 
 def test_closed_form_blocks_match_on_transmission_facets():

@@ -44,8 +44,6 @@ def test_defaults_resolve_from_empty_text():
     assert config.problem.kind == "hankel_source"
     assert config.problem.k == 20.0
     assert config.q0 == 3
-    assert (config.penalties.alpha, config.penalties.beta, config.penalties.delta) \
-        == (0.5, 0.5, 0.5)
     assert config.protocol == "adapt"
     assert config.adapt.mode == "hp"
     assert config.adapt.fraction == 0.25
@@ -89,9 +87,14 @@ def test_unknown_key_and_section_are_rejected():
         load_config_text("[domain]\nshape = unit_square\n")
     with pytest.raises(ConfigError, match=r"unknown config section \[mesh\]"):
         load_config_text("[mesh]\nn = 4\n")
-    for key in ("lambda_gap", "delta_ball"):
-        with pytest.raises(ConfigError, match=rf"\[adaptivity\] unknown key '{key}'"):
-            load_config_text(f"[adaptivity]\n{key} = 2.0\n")
+    # Removed keys: the method's constants are module constants, not settings.
+    for section, key in (("adaptivity", "lambda_gap"), ("adaptivity", "delta_ball"),
+                         ("problem", "impedance_sign"), ("discretization", "alpha"),
+                         ("discretization", "beta"), ("discretization", "delta"),
+                         ("adaptivity", "gamma_h"), ("adaptivity", "gamma_p"),
+                         ("adaptivity", "gamma_n")):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] unknown key '{key}'"):
+            load_config_text(f"[{section}]\n{key} = 2.0\n")
 
 
 def test_boundary_parsing_variants():
@@ -111,10 +114,18 @@ def test_boundary_parsing_variants():
 def test_boundary_parsing_errors():
     with pytest.raises(ConfigError, match=r"\[domain\] boundary: expected side=tag"):
         load_config_text("[domain]\nboundary = robin\n")
-    with pytest.raises(ConfigError, match=r"\[domain\] boundary: unknown side 'north'"):
+    with pytest.raises(ConfigError, match=r"\[domain\] boundary: unknown boundary side 'north'"):
         load_config_text("[domain]\nboundary = north=robin\n")
-    with pytest.raises(ConfigError, match=r"\[domain\] boundary: unknown tag 'neumann'"):
+    with pytest.raises(ConfigError,
+                       match=r"\[domain\] boundary: boundary tag must be robin or dirichlet, "
+                             r"got 'neumann'"):
         load_config_text("[domain]\nboundary = xmin=neumann\n")
+    # A side the domain does not have is an error, not ignored.
+    for text, side in (("zmin=dirichlet", "zmin"), ("reentrant=dirichlet", "reentrant"),
+                       ("all=dirichlet,zmax=robin", "zmax")):
+        with pytest.raises(ConfigError, match=rf"\[domain\] boundary: unknown boundary side "
+                                              rf"'{side}' of the unit_square domain"):
+            load_config_text(f"[domain]\nboundary = {text}\n")
 
 
 def test_type_errors_carry_section_and_key():
@@ -139,6 +150,11 @@ def test_range_validation():
         load_config_text("[adaptivity]\npasses = -2\n")
     with pytest.raises(ConfigError, match=r"\[adaptivity\]"):
         load_config_text("[adaptivity]\nfraction = 0\n")
+    # nan would never stop a run and a limit <= 0 would stop every one; inf means no limit.
+    for text in ("nan", "-1", "0"):
+        with pytest.raises(ConfigError, match=r"\[adaptivity\] cond_limit: must be > 0"):
+            load_config_text(f"[adaptivity]\ncond_limit = {text}\n")
+    assert load_config_text("[adaptivity]\ncond_limit = inf\n").cond_limit == math.inf
     # Each calibration cell runs one problem: no cell, or a bad one, is an error here.
     for key, text in (("calibration_q", ""), ("calibration_q", "3, 0"),
                       ("calibration_q", "-1"), ("calibration_k", ""),
@@ -174,8 +190,11 @@ def test_problem_validation_is_wrapped():
         load_config_text(
             "[domain]\nkind = square2\n[problem]\nkind = transmission\nomega = 11\n"
         )
-    with pytest.raises(ConfigError, match=r"\[problem\]"):
-        load_config_text("[problem]\nimpedance_sign = 0.5\n")
+    # The Hankel source point is 2D and lies inside square2 and l_shape.
+    for domain in ("square2", "l_shape", "unit_cube"):
+        with pytest.raises(ConfigError,
+                           match=r"\[problem\] hankel_source is defined on the unit_square"):
+            load_config_text(f"[domain]\nkind = {domain}\n")
     # A plane wave needs one finite component per axis, not all zero.
     for domain, direction in (("unit_cube", "direction = 1,1\n"), ("unit_square", ""),
                               ("unit_square", "direction = 0,0\n")):

@@ -112,6 +112,7 @@ TABLE = [
 
 @pytest.mark.parametrize("lam,mu,expected", TABLE)
 def test_potential_direction_truth_table(lam, mu, expected):
+    assert GAP_FACTOR == 2.0  # the rows are written for this factor
     result = potential_direction(
         np.array(lam), _vecs(V1, OTHER), np.array(mu), _vecs(W1, OTHER2)
     )
@@ -130,14 +131,6 @@ def test_potential_direction_antiparallel_sum_is_none():
         _vecs(-V1, OTHER),
     )
     assert result is None
-
-
-def test_potential_direction_custom_gap():
-    lam, mu = np.array([3.0, 1.0]), np.array([1.0, 0.9])
-    vecs = _vecs(V1, OTHER)
-    mvecs = _vecs(W1, OTHER2)
-    assert potential_direction(lam, vecs, mu, mvecs, gap=4.0) is None
-    assert_allclose(potential_direction(lam, vecs, mu, mvecs, gap=1.5), V1)
 
 
 # Hessians from the discrete solution ---------------------------------------

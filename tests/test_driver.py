@@ -482,7 +482,13 @@ def test_cli_invalid_config_contents(tmp_path, capsys):
             ("[domain]\nn = 2\n[problem]\nk = inf\n", "positive finite wavenumber"),
             ("[domain]\nkind = square2\nn = 2\nboundary = all=dirichlet\n[problem]\n"
              "kind = transmission\nomega = 11\nindex_below = 2\nindex_above = 1\n"
-             "incidence_deg = nan\n", "incidence_deg must be finite")):
+             "incidence_deg = nan\n", "incidence_deg must be finite"),
+            ("[domain]\nkind = unit_cube\nn = 2\n[adaptivity]\nmax_iters = 0\n",
+             "[problem] hankel_source is defined on the unit_square domain"),
+            ("[domain]\nn = 2\n[adaptivity]\nmax_iters = 0\ncond_limit = nan\n",
+             "[adaptivity] cond_limit: must be > 0"),
+            ("[domain]\nn = 2\nboundary = zmin=dirichlet\n[adaptivity]\nmax_iters = 0\n",
+             "[domain] boundary: unknown boundary side 'zmin'")):
         path.write_text(text)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tdg.assembly import PenaltyParams, assemble_system
+from tdg import estimator
+from tdg.assembly import assemble_system
 from tdg.basis import eval_basis
 from tdg.estimator import (
     IndicatorRecord,
@@ -113,18 +114,15 @@ def test_dirichlet_mismatch_component():
     assert rec.robin == 0.0
 
 
-def test_custom_penalty_weights_scale_components():
+def test_custom_penalty_weights_scale_components(monkeypatch):
     problem = _plane_problem()
     mesh = _mesh(problem, n=2)
     coefficients = _zero_coefficients(mesh)
     coefficients[0][0] = 1.0
     base = {r.element: r for r in indicators(mesh, coefficients, problem)}
-    scaled = {
-        r.element: r
-        for r in indicators(
-            mesh, coefficients, problem, params=PenaltyParams(alpha=2.0, beta=0.5, delta=0.5)
-        )
-    }
+    # The estimator binds the weights at import, so they are patched there.
+    monkeypatch.setattr(estimator, "ALPHA", 2.0)
+    scaled = {r.element: r for r in indicators(mesh, coefficients, problem)}
     for eid in base:
         assert scaled[eid].jump_u == pytest.approx(2.0 * base[eid].jump_u, rel=1e-13)
 
@@ -176,7 +174,7 @@ def test_indicator_order_and_nonnegativity():
 
 # --- batched skeleton passes against a per-facet pointwise reference ---
 
-def _reference_components(mesh, coefficients, problem, params=PenaltyParams()):
+def _reference_components(mesh, coefficients, problem):
     """Weighted (jump_u, jump_gradu, robin, dirichlet) per element id, one facet at a time."""
     raw = {eid: np.zeros(4) for eid in mesh.elements}
     facets = mesh.facets()
@@ -196,7 +194,7 @@ def _reference_components(mesh, coefficients, problem, params=PenaltyParams()):
             ((u, gn),) = traces
             data = problem.boundary_data(tag, rule.points, normal)
             if tag == ROBIN:
-                residual = data - (gn + 1j * el_a.k * problem.impedance_sign * u)
+                residual = data - (gn + 1j * el_a.k * u)
                 raw[el_a.id][2] += w @ np.abs(residual) ** 2
             else:
                 raw[el_a.id][3] += w @ np.abs(data - u) ** 2
@@ -209,8 +207,8 @@ def _reference_components(mesh, coefficients, problem, params=PenaltyParams()):
     for eid, (ju, jg, ro, di) in raw.items():
         el = mesh.elements[eid]
         low, high = el.h / el.degree, (el.h / el.degree) ** 3
-        out[eid] = np.sqrt([params.alpha * low * ju, params.beta * high * jg,
-                            params.delta * high * ro, params.alpha * low * di])
+        out[eid] = np.sqrt([estimator.ALPHA * low * ju, estimator.BETA * high * jg,
+                            estimator.DELTA * high * ro, estimator.ALPHA * low * di])
     return out
 
 

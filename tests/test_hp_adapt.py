@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdg import hp_adapt
 from tdg.estimator import IndicatorRecord
 from tdg.hp_adapt import (
+    GAMMA_H,
+    GAMMA_N,
+    GAMMA_P,
     MODES,
     AdaptConfig,
     decide_and_refine,
@@ -44,7 +48,7 @@ def _neighbours(mesh):
 def test_adapt_config_defaults_and_validation():
     config = AdaptConfig()
     assert (config.mode, config.fraction) == ("hp", 0.25)
-    assert (config.gamma_h, config.gamma_p, config.gamma_n) == (4.0, 0.4, 1.0)
+    assert (GAMMA_H, GAMMA_P, GAMMA_N) == (4.0, 0.4, 1.0)
     assert MODES == ("hp", "h_only")
     with pytest.raises(ValueError):
         AdaptConfig(mode="p_only")
@@ -102,7 +106,7 @@ def test_decide_p_refinement_bookkeeping():
     records = [_record(eid, 1.0 if eid == 0 else 0.25) for eid in mesh.elements]
     config = AdaptConfig(fraction=0.25)
     plan = plan_refinement({0}, records, {}, config)
-    new_mesh, predictions = decide_and_refine(mesh, plan, records, {}, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, {})
     assert len(new_mesh.elements) == 4
     assert new_mesh.elements[0].degree == 4
     assert all(new_mesh.elements[e].degree == 3 for e in (1, 2, 3))
@@ -116,7 +120,7 @@ def test_decide_h_refinement_prediction_arithmetic():
     records = [_record(eid, 1.0 if eid == 0 else 0.25) for eid in mesh.elements]
     config = AdaptConfig(fraction=0.25)
     plan = plan_refinement({0}, records, {0: 0.5}, config)
-    new_mesh, predictions = decide_and_refine(mesh, plan, records, {0: 0.5}, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, {0: 0.5})
     children = new_mesh.last_refined[0]
     assert len(children) == 4
     for cid in children:
@@ -127,13 +131,14 @@ def test_decide_h_refinement_prediction_arithmetic():
     assert 0 not in predictions
 
 
-def test_decide_unmarked_prediction_decay():
+def test_decide_unmarked_prediction_decay(monkeypatch):
     mesh = _mesh(n=2, q0=3)
     records = [_record(0, 1.0), _record(1, 0.1), _record(2, 0.1), _record(3, 0.1)]
     forecasts = {0: 0.5, 1: 0.8, 3: 0.2}  # 2 has none: infinite
-    config = AdaptConfig(fraction=0.25, gamma_n=0.25)
+    monkeypatch.setattr(hp_adapt, "GAMMA_N", 0.25)
+    config = AdaptConfig(fraction=0.25)
     plan = plan_refinement({0}, records, forecasts, config)
-    _, predictions = decide_and_refine(mesh, plan, records, forecasts, config)
+    _, predictions = decide_and_refine(mesh, plan, records, forecasts)
     assert predictions[1] == pytest.approx(0.5 * 0.8, abs=1e-14)
     assert math.isinf(predictions[2])
     assert predictions[3] == pytest.approx(0.5 * 0.2, abs=1e-14)
@@ -153,7 +158,7 @@ def test_decide_closure_children_use_parent_indicator():
     forecasts = dict.fromkeys(mesh.elements, 0.001)
     config = AdaptConfig(fraction=0.05)
     plan = plan_refinement({inner}, records, forecasts, config)
-    new_mesh, predictions = decide_and_refine(mesh, plan, records, forecasts, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, forecasts)
     assert inner in new_mesh.last_refined
     closure_parents = [p for p in new_mesh.last_refined if p != inner]
     assert closure_parents
@@ -188,7 +193,7 @@ def test_decide_p_bump_before_closure_split():
     config = AdaptConfig(fraction=0.9)
     marks = {inner, *neighbours}
     plan = plan_refinement(marks, records, forecasts, config)
-    new_mesh, predictions = decide_and_refine(mesh, plan, records, forecasts, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, forecasts)
     split_neighbours = [p for p in new_mesh.last_refined if p in neighbours]
     assert split_neighbours
     for parent in split_neighbours:
@@ -215,7 +220,7 @@ def test_decide_copies_the_mesh_once(monkeypatch):
 
     monkeypatch.setattr(Element, "__post_init__", counting)
     plan = plan_refinement({0, 1}, records, {0: 0.5}, AdaptConfig())
-    new_mesh, _ = decide_and_refine(mesh, plan, records, {0: 0.5}, AdaptConfig())
+    new_mesh, _ = decide_and_refine(mesh, plan, records, {0: 0.5})
     assert len(built) == 52
     assert list(new_mesh.last_refined) == [0]
     assert new_mesh.elements[1].degree == 4
@@ -228,7 +233,7 @@ def test_h_only_never_changes_degrees():
     forecasts = dict.fromkeys(mesh.elements, 0.01)
     config = AdaptConfig(mode="h_only", fraction=1.0)
     plan = plan_refinement(set(mesh.elements), records, forecasts, config)
-    new_mesh, _ = decide_and_refine(mesh, plan, records, forecasts, config)
+    new_mesh, _ = decide_and_refine(mesh, plan, records, forecasts)
     assert all(el.degree == 3 for el in new_mesh.elements.values())
     assert len(new_mesh.elements) == 16
 
@@ -289,7 +294,7 @@ def test_adapt_step_preserves_invariants(etas, mode):
     marks = mark_elements(records, config.fraction)
     assert len(marks) == 2
     plan = plan_refinement(marks, records, forecasts, config)
-    new_mesh, predictions = decide_and_refine(mesh, plan, records, forecasts, config)
+    new_mesh, predictions = decide_and_refine(mesh, plan, records, forecasts)
     enforce_degree_compatibility(new_mesh)
     assert set(predictions) == set(new_mesh.elements)
     assert all(v >= 0.0 for v in predictions.values())

@@ -24,10 +24,8 @@ def _domain(kind="unit_square", boundary=None):
     return DomainSpec(kind=kind, boundary_partition=boundary or {"all": ROBIN})
 
 
-def hankel_problem(k=20.0, sign=1.0):
-    return ProblemSpec(
-        kind="hankel_source", domain=_domain(), k=k, impedance_sign=sign
-    )
+def hankel_problem(k=20.0):
+    return ProblemSpec(kind="hankel_source", domain=_domain(), k=k)
 
 
 def corner_problem(k=20.0):
@@ -225,10 +223,6 @@ def test_robin_boundary_data_definition():
     u, grad = problem.exact_solution(pts, gradient=True)
     assert_allclose(g, grad @ normal + 1j * 20.0 * u, rtol=1e-14)
 
-    flipped = hankel_problem(k=20.0, sign=-1.0)
-    g2 = flipped.boundary_data(ROBIN, pts, normal)
-    assert_allclose(g2, grad @ normal - 1j * 20.0 * u, rtol=1e-14)
-
     # A piecewise wavenumber enters pointwise; y = 0 takes k_below = 22.
     problem = transmission_problem(69.0)
     pts = np.array([[-1.0, -0.5], [-1.0, 0.0], [-1.0, 0.5]])
@@ -296,9 +290,10 @@ def test_validation_errors():
             omega=11.0,
             index_below=2.0,
         )
-    with pytest.raises(ProblemError):
-        ProblemSpec(kind="hankel_source", domain=_domain(), k=20.0,
-                    impedance_sign=0.5)
+    # The source point (-1/4, 0) is 2D and lies inside square2 and l_shape.
+    for kind in ("square2", "l_shape", "unit_cube"):
+        with pytest.raises(ProblemError, match="hankel_source is defined on the unit_square"):
+            ProblemSpec(kind="hankel_source", domain=_domain(kind), k=20.0)
     for direction in (None, (1.0,), (1.0, 1.0, 1.0), (0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0),
                       (1e200, 1e200)):
         with pytest.raises(ProblemError, match="plane_wave direction"):
@@ -383,7 +378,7 @@ def _assert_close_on_grids(problem, tol):
 @pytest.mark.parametrize("problem", [
     ProblemSpec(kind="plane_wave", domain=_domain(), k=20.0, direction=(1.0, -2.0)),
     ProblemSpec(kind="plane_wave", domain=_domain("unit_cube"), k=20.0,
-                direction=(0.3, -0.5, 0.8), impedance_sign=-1.0),
+                direction=(0.3, -0.5, 0.8)),
 ], ids=["2d", "3d"])
 def test_plane_wave_on_grid_matches_pointwise(problem):
     # |u| = 1 and |g_R| <= 2k: the tolerance is 1e-14 absolute on u.
@@ -391,7 +386,7 @@ def test_plane_wave_on_grid_matches_pointwise(problem):
 
 
 @pytest.mark.parametrize("problem", [
-    hankel_problem(sign=-1.0), corner_problem(),
+    hankel_problem(), corner_problem(),
     transmission_problem(29.0), transmission_problem(69.0),
 ], ids=["hankel", "corner", "transmission-evanescent", "transmission-propagating"])
 def test_non_plane_wave_on_grid_is_pointwise_bit_for_bit(problem):
